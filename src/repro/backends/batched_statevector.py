@@ -1,44 +1,71 @@
 """Trajectory-stacked dense statevector backend (the vectorized BE engine).
 
 Where :class:`~repro.backends.statevector.StatevectorBackend` evolves one
-``2**n`` statevector at a time, this backend holds a ``(B, 2**n)`` *stack*
-of trajectory states and applies every circuit moment to all ``B``
-trajectories in one fused operation:
+``2**n`` statevector at a time, this backend prepares a ``(B, 2**n)``
+*stack* of trajectory states in one call and samples them with
+stack-wide primitives:
 
-* **Shared work** is one fused kernel call: execution walks the circuit's
-  compiled :class:`~repro.execution.plan.FusedPlan` — adjacent gates (and
-  noise-branch operators) merged into per-window matrices when
-  ``Config.fusion`` is on, one step per operation when it is off — and
-  each coherent window updates every trajectory at once through a reshape
-  view of the stack (:func:`~repro.linalg.apply.apply_compiled_stack`).
-  The per-operation Python/dispatch overhead and buffer traffic of the
-  serial engine — its dominant cost at moderate widths — is paid once per
-  window instead of once per (operation, trajectory).
-* **Divergent Kraus choices** are handled by *grouping*: at each noise
-  window the stack rows are partitioned by their variant key — the tuple
-  of prescribed Kraus indices at the window's sites (absent sites use the
-  channel's dominant operator, exactly like
-  :meth:`PureStateBackend.run_fixed`) — and each distinct fused variant is
-  applied via the same batched kernel over its row sub-slice.  Since PTS
-  trajectories overwhelmingly take the dominant branch, there are
-  typically only one or two groups per window.
+* **Each shared Kraus prefix is evolved once.**  PTS trajectories take
+  the dominant branch at almost every noise window, so rows that
+  prescribe the same Kraus indices up to a window hold the same state
+  there.  :meth:`BatchedStatevectorBackend.run_fixed_stack` therefore
+  walks the circuit's compiled :class:`~repro.execution.plan.FusedPlan`
+  as a *prefix tree* over the rows' variant keys (the tuple of
+  prescribed Kraus indices at a noise window's sites; absent sites use
+  the channel's dominant operator, exactly like
+  :meth:`PureStateBackend.run_fixed`).  The walk starts from a single
+  |0> row.  A coherent window updates every frontier row in one fused
+  kernel call (:func:`~repro.linalg.apply.apply_compiled_stack` over a
+  reshape view of the frontier).  At a noise window a frontier row splits
+  only where its trajectories' keys diverge, and each variant is applied
+  once per distinct prefix.  The leaves are copied into the output stack
+  in ``choices_list`` order; rows with equal key sequences share one
+  leaf.  ``row_steps`` counts the window applications actually executed.
+* **The frontier is sized to the cache.**  A block of frontier rows
+  holds at most ``_FRONTIER_BYTES`` (1 MiB), so the block plus one kernel
+  output stay in a core's 2 MiB L2.  A split that would outgrow the
+  budget is cut into consecutive blocks, walked depth-first from an
+  explicit work stack.  Measured per 64-row stack of ``brickwork(n, 6)``
+  PTS draws (``brickwork(8, 4)`` at 8 qubits) on a 2-vCPU Xeon VM with
+  one BLAS thread, median of 5 rounds:
+
+  =======  =====================  ======================  ==============
+  qubits   whole-stack grouping   unbounded prefix walk   1 MiB budget
+  =======  =====================  ======================  ==============
+  8        6.4 ms                 6.1 ms                  5.8 ms
+  10       20.7 ms                15.7 ms                 16.3 ms
+  12       88.4 ms                68.0 ms                 61.5 ms
+  14       567 ms                 406 ms                  281 ms
+  =======  =====================  ======================  ==============
+
+  The first column is the previous design: every row evolved from |0>
+  through every window, the majority variant applied to the whole stack.
+  At 14 qubits the walk executes 63% of the whole-stack row-steps
+  (4,247 of 6,732 over six stacks), and the budget keeps them in cache.
+  Budgets from 256 KiB to 2 MiB were within 10% of each other at every
+  width.
 * **Batched renormalization** after each noise window runs the *shared*
   :func:`~repro.linalg.reductions.row_norms_squared` reduction once over
-  the whole stack — the same row-independent reduction the serial
-  backend's ``norm_squared`` applies to its state as a 1-row stack — so a
-  stacked trajectory stays *bitwise identical* to the same trajectory run
-  on :class:`StatevectorBackend` by construction, while the stack pays
-  one device-resident reduction and a single host sync per noise window
-  instead of B host-synced ``vdot`` calls (the former dominant
-  stacked-path cost at large B).  The equivalence is asserted by the
-  seed-fixed tests in ``tests/test_vectorized.py`` and
-  ``tests/test_fusion.py``.
+  the block — the same row-independent reduction the serial backend's
+  ``norm_squared`` applies to its state as a 1-row stack — with a single
+  host sync for the block's norm vector, and multiplies each node's
+  weight by its squared norm.
+
+Every kernel and the reduction are row-independent, and each row meets
+the same float sequence on its path through the tree (weight products
+included) as its serial preparation.  A stacked trajectory is therefore
+*bitwise identical* to the same trajectory run on
+:class:`StatevectorBackend`, however the tree is cut into blocks.  The
+seed-fixed tests in ``tests/test_vectorized.py`` and
+``tests/test_fusion.py`` and the property test in
+``tests/test_prefix_walk.py`` assert it.
 
 Rows whose prescribed Kraus branch annihilates the actual state (possible
 for general, non-unitary-mixture channels whose nominal probabilities are
-only priors) are marked *dead*: their weight drops to zero, the row is
-zeroed, and no shots are drawn — matching the serial engine's
-:class:`~repro.errors.ZeroProbabilityTrajectory` handling.
+only priors) are marked *dead*: their prefix drops out of the walk, the
+row stays zeroed with weight zero, and no shots are drawn — matching the
+serial engine's :class:`~repro.errors.ZeroProbabilityTrajectory`
+handling.
 
 Sampling stays the cheap polynomial part of the PTSBE story: one
 stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
@@ -58,6 +85,8 @@ the stack was prepared.
 from __future__ import annotations
 
 import time
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +105,29 @@ __all__ = ["BatchedStatevectorBackend"]
 #: Squared-norm threshold below which a trajectory row is considered
 #: annihilated (same threshold as PureStateBackend.apply_channel_choice).
 _DEAD_NORM = 1e-300
+
+#: Working-set budget of one prefix-walk block, in bytes.  A block holds
+#: at most this many bytes of frontier rows, so the block and one kernel
+#: output of the same size fit one core's 2 MiB L2 (4 rows at 14 qubits,
+#: 16 at 12, the whole 64-row stack at 10 and below under complex128).
+_FRONTIER_BYTES = 1 << 20
+
+
+def _split_by_key(step, members, choices_list):
+    """Children of a block at a noise window, as ``(key, parent, rows)``.
+
+    Each node splits only where its member rows' variant keys differ; the
+    children are grouped by key (first-seen order) so every variant
+    covers one contiguous run of the child block.
+    """
+    by_key: Dict[Tuple[int, ...], list] = {}
+    for parent, rows in enumerate(members):
+        split: Dict[Tuple[int, ...], List[int]] = {}
+        for row in rows:
+            split.setdefault(step.key_for(choices_list[row]), []).append(row)
+        for key, sub in split.items():
+            by_key.setdefault(key, []).append((key, parent, sub))
+    return [child for group in by_key.values() for child in group]
 
 
 class BatchedStatevectorBackend:
@@ -125,6 +177,10 @@ class BatchedStatevectorBackend:
         self._cum_stack = None  # (B, dim) cumulative tensor on the array module
         self._cum_totals: Optional[np.ndarray] = None  # host per-row norms
         self.preparations = 0  # total stacked trajectories prepared (dedup audit)
+        #: Window applications actually executed, summed over rows: one
+        #: per distinct Kraus prefix per plan step (the prefix-sharing
+        #: audit; a stack without sharing would count rows x steps).
+        self.row_steps = 0
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
         #: counter behind the strategy table's renorm column.
@@ -160,7 +216,12 @@ class BatchedStatevectorBackend:
 
     def reset(self, batch_size: Optional[int] = None) -> None:
         """Reset every row to |0...0>, optionally resizing the stack."""
-        b = self.batch_size if batch_size is None else int(batch_size)
+        self._allocate(self.batch_size if batch_size is None else int(batch_size))
+        self._stack[:, 0] = 1.0
+        self._alive = np.ones(self.batch_size, dtype=bool)
+
+    def _allocate(self, b: int) -> None:
+        """Replace the stack with ``b`` zeroed rows (capacity-checked)."""
         if b <= 0:
             raise BackendError(f"batch_size must be positive, got {b}")
         if b > self.max_batch_rows:
@@ -179,8 +240,6 @@ class BatchedStatevectorBackend:
                 f"of memory; lower the batch size or use strategy "
                 f"'tensornet'/'clifford' for wide circuits"
             ) from exc
-        self._stack[:, 0] = 1.0
-        self._alive = np.ones(b, dtype=bool)
         self._invalidate()
 
     def statevector(self, row: int):
@@ -303,13 +362,16 @@ class BatchedStatevectorBackend:
         Execution walks the circuit's compiled
         :class:`~repro.execution.plan.FusedPlan` — the same plan (same
         fused matrices, application order, and renormalization points) the
-        serial :class:`StatevectorBackend` walks, which is what keeps
-        stacked rows bitwise identical to serial preparations with fusion
-        on or off.
+        serial :class:`StatevectorBackend` walks — as a prefix tree over
+        the rows' variant keys (see the module docstring), so each
+        distinct Kraus prefix is evolved once however many rows share it.
+        Every kernel and the reduction are row-independent, which keeps
+        each stacked row bitwise identical to its serial preparation with
+        fusion on or off.
         """
         # Imported lazily: repro.execution imports this module at package
         # init, so a top-level import would be circular.
-        from repro.execution.plan import NoiseStep, get_fused_plan
+        from repro.execution.plan import get_fused_plan
 
         if not circuit.frozen:
             raise ExecutionError("run_fixed_stack requires a frozen circuit")
@@ -321,91 +383,127 @@ class BatchedStatevectorBackend:
         if len(choices_list) == 0:
             raise ExecutionError("empty trajectory stack")
         plan = get_fused_plan(circuit, self._config)
-        self.reset(len(choices_list))
-        weights = np.ones(len(choices_list), dtype=np.float64)
-        self.preparations += len(choices_list)
-        for step in plan.steps:
-            if isinstance(step, NoiseStep):
-                self._apply_noise_step(step, choices_list, weights)
-            else:
-                self._apply_compiled_full(step.op)
-            # MeasureOps are deferred; sampling happens afterwards.
+        b = len(choices_list)
+        # Rows no leaf reaches (dead trajectories) keep the zeroed state,
+        # zero weight and alive=False set here.
+        self._allocate(b)
+        self._alive = np.zeros(b, dtype=bool)
+        weights = np.zeros(b, dtype=np.float64)
+        self.preparations += b
+        self._walk_prefixes(plan.steps, choices_list, weights)
         return weights, self._alive.copy()
 
-    def _apply_compiled_full(self, op) -> None:
-        """Apply a pre-compiled operator to the whole stack (no validation)."""
-        self._stack = apply_compiled_stack(
-            self._stack, op, self.num_qubits, xp=self._xp
-        )
-        self._invalidate()
-
-    def _apply_noise_step(
+    def _walk_prefixes(
         self,
-        step,
+        steps: Sequence[object],
         choices_list: Sequence[Optional[Dict[int, int]]],
         weights: np.ndarray,
     ) -> None:
-        """Group rows by variant key, apply each group, renormalize rows."""
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for row, choices in enumerate(choices_list):
-            if not self._alive[row]:
-                continue
-            groups.setdefault(step.key_for(choices), []).append(row)
-        if not groups:
-            return  # every row already dead: nothing to apply or scale
-        if len(groups) == 1:
-            # Unanimous variant: hit the whole stack in place (dead rows
-            # are zero and stay zero under any operator).
-            (key,) = groups
-            self._apply_compiled_full(step.variant(key))
-        elif groups:
-            # Apply the majority variant to the whole stack in place, then
-            # overwrite the (few) deviating rows from a pre-window snapshot
-            # — this avoids gathering/scattering the large majority slice.
-            majority = max(groups, key=lambda key: len(groups[key]))
-            minority_rows = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in groups.items()
-                if key != majority
-            }
-            snapshots = {
-                key: self._xp.ascontiguousarray(self._stack[rows])
-                for key, rows in minority_rows.items()
-            }
-            self._apply_compiled_full(step.variant(majority))
-            for key, rows in minority_rows.items():
-                self._stack[rows] = apply_compiled_stack(
-                    snapshots[key],
-                    step.variant(key),
-                    self.num_qubits,
-                    xp=self._xp,
-                )
-        # Batched renormalization: one stack-wide reduction (the same
-        # row-independent row_norms_squared the serial norm_squared runs,
-        # so per-row results are bitwise serial-identical by construction)
-        # and a single host sync for the (B,) norm vector — replacing the
-        # per-row vdot sweep that cost one host sync per row and was the
-        # dominant stacked-path cost at large B.  Dead rows (previously
-        # dead, or annihilated by this window) get a unit divisor: x / 1.0
-        # is bitwise x, and newly-dead rows are zeroed below anyway.
+        """Evolve every distinct Kraus prefix once; write leaves to the stack.
+
+        A *block* is a set of frontier nodes at one plan step: ``states``
+        holds one row per node, ``node_w`` its accumulated weight and
+        ``members`` the stack rows sharing its prefix.  A gate window hits
+        the whole block in one kernel call; a noise window splits each
+        node by its members' variant keys, applies each variant once to
+        the nodes that chose it and renormalizes.  A split that outgrows
+        the working-set budget is cut into consecutive blocks walked
+        depth-first from an explicit work stack; a pending block holds its
+        parent block's states and realizes its noise window when popped.
+        """
+        from repro.execution.plan import GateStep
+
         xp = self._xp
-        t0 = time.perf_counter()
-        norms = row_norms_squared(self._stack, xp)
-        norms_host = self._ab.to_host(norms)
-        scale_rows_inverse_sqrt(self._stack, norms, xp, dead_norm=_DEAD_NORM)
-        for rows in groups.values():
-            for row in rows:
-                n2 = float(norms_host[row])
-                if n2 <= _DEAD_NORM:
-                    # This branch annihilates the actual state (nominal
-                    # probabilities are only priors for general channels).
-                    self._alive[row] = False
-                    weights[row] = 0.0
-                    self._stack[row].fill(0)
+        dtype = self._config.dtype
+        budget = max(1, _FRONTIER_BYTES // (self._dim * np.dtype(dtype).itemsize))
+        root = xp.zeros((1, self._dim), dtype=dtype)
+        root[0, 0] = 1.0
+        # Work item: (step index, states, node weights, members, pending).
+        # ``pending`` is None for a block realized up to the step index,
+        # else the (key, parent, rows) children still to be realized at
+        # that noise step from ``states`` (shared with sibling blocks).
+        work: List[tuple] = [
+            (0, root, np.ones(1, dtype=np.float64), [list(range(len(choices_list)))], None)
+        ]
+        while work:
+            i, states, node_w, members, pending = work.pop()
+            if pending is not None:
+                states, node_w, members = self._realize(
+                    steps[i], states, node_w, pending, shared=True
+                )
+                i += 1
+            while members and i < len(steps):
+                step = steps[i]
+                i += 1
+                if isinstance(step, GateStep):
+                    states = apply_compiled_stack(states, step.op, self.num_qubits, xp=xp)
+                    self.row_steps += len(members)
                     continue
-                weights[row] *= n2
+                children = _split_by_key(step, members, choices_list)
+                blocks = [
+                    children[lo : lo + budget] for lo in range(0, len(children), budget)
+                ]
+                # Later blocks wait on the work stack, the next one on top.
+                for block in reversed(blocks[1:]):
+                    work.append((i - 1, states, node_w, None, block))
+                states, node_w, members = self._realize(
+                    step, states, node_w, blocks[0], shared=len(blocks) > 1
+                )
+            for node, rows in enumerate(members):
+                self._stack[rows] = states[node]
+                weights[rows] = node_w[node]
+                self._alive[rows] = True
+
+    def _realize(self, step, states, node_w, children, shared: bool):
+        """Apply one noise window to a block of children; renormalize them.
+
+        ``children`` are ``(key, parent, rows)`` triples, grouped by key;
+        each variant runs once over its contiguous run of child rows.
+        Children whose squared norm falls to ``_DEAD_NORM`` or below are
+        dropped from the block (their rows are dead).  Returns the child
+        block's ``(states, node weights, members)``.
+        """
+        xp = self._xp
+        parents = [parent for _, parent, _ in children]
+        if not shared and parents == list(range(states.shape[0])):
+            block = states  # one child per node, in order: update in place
+        else:
+            block = states[np.asarray(parents, dtype=np.intp)]
+        start = 0
+        for key, run in groupby(children, key=itemgetter(0)):
+            stop = start + sum(1 for _ in run)
+            if stop - start == len(children):
+                block = apply_compiled_stack(
+                    block, step.variant(key), self.num_qubits, xp=xp
+                )
+            else:
+                rows = block[start:stop]
+                out = apply_compiled_stack(rows, step.variant(key), self.num_qubits, xp=xp)
+                if out is not rows:
+                    block[start:stop] = out
+            start = stop
+        self.row_steps += len(children)
+        # Renormalization: the same row-independent reduction and scale the
+        # serial backend runs on its state as a 1-row stack, so per-row
+        # norms and divisors are bitwise serial-identical; one host sync
+        # per block carries the norm vector.  Dead children divide by 1.0.
+        t0 = time.perf_counter()
+        norms = row_norms_squared(block, xp)
+        norms_host = self._ab.to_host(norms).astype(np.float64, copy=False)
+        scale_rows_inverse_sqrt(block, norms, xp, dead_norm=_DEAD_NORM)
+        # Same float sequence as serial's ``weight *= norm2`` per window.
+        child_w = node_w[parents] * norms_host
+        members = [rows for _, _, rows in children]
+        live = norms_host > _DEAD_NORM
+        if not live.all():
+            # The branch annihilates the actual state (nominal
+            # probabilities are only priors for general channels).
+            keep = np.flatnonzero(live)
+            block = block[keep]
+            child_w = child_w[keep]
+            members = [members[k] for k in keep]
         self.renorm_seconds += time.perf_counter() - t0
-        self._invalidate()
+        return block, child_w, members
 
     # ------------------------------------------------------------------ #
     # stacked probabilities and bulk sampling

@@ -144,8 +144,8 @@ class PTSBEResult:
     #: execution layer.
     seed: Optional[int] = None
     #: Which execution engine realized the trajectories ("serial",
-    #: "parallel", "vectorized", "sharded", or "clifford").  ``None`` only
-    #: for results assembled outside the execution layer.
+    #: "parallel", "vectorized", "sharded", "clifford", or "tensornet").
+    #: ``None`` only for results assembled outside the execution layer.
     engine: Optional[str] = None
     #: The router's decision trail for this run (set by
     #: :func:`~repro.execution.batched.run_ptsbe_stream`): why

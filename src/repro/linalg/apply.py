@@ -59,6 +59,12 @@ what lets the sharded executor provision 2x workspace instead of 3x
 whenever no operator spans four qubits
 (:meth:`repro.execution.sharded.ShardedExecutor`).
 
+A view-tier operator on *every* qubit is the one shape where the row
+count would leak into the arithmetic: each row then holds a single
+element per basis slice, the row count becomes the inner-loop length,
+and NumPy rounds a one-element loop differently from a longer one.
+Such operators are applied row by row.
+
 The kernel is array-module agnostic (the CuPy drop-in pattern of
 :mod:`repro.linalg.backend`): the stack may live on any ``xp`` namespace
 passed by the caller, while the small ``(2**k, 2**k)`` operator matrix is
@@ -269,6 +275,13 @@ def apply_compiled_stack(
         if op.scalar != 1:
             stack *= op.scalar
         return stack
+    if k == num_qubits and rows > 1 and k <= MAX_VIEW_QUBITS:
+        # One element per row per basis slice (see the module docstring):
+        # go row by row so each row gets a one-row (serial) call's rounding.
+        out = stack if op.diag is not None else xp.empty_like(stack)
+        for r in range(rows):
+            out[r : r + 1] = apply_compiled_stack(stack[r : r + 1], op, num_qubits, xp)
+        return out
     if k == 1:
         t = op.targets[0]
         view = stack.reshape(rows * (1 << t), 2, -1)

@@ -151,6 +151,25 @@ class TestK3ViewTier:
             )
             np.testing.assert_array_equal(stacked[row], single[0])
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("tier", ["diagonal", "dense"])
+    def test_all_qubit_operator_row_by_row_matches_stacked(self, num_qubits, tier):
+        """An operator on every qubit leaves one element per row in each
+        basis slice; stacked rows must still be bitwise the one-row calls."""
+        rng = np.random.default_rng(num_qubits)
+        dim = 2**num_qubits
+        if tier == "diagonal":
+            matrix = np.diag(np.exp(1j * rng.normal(size=dim)))
+        else:
+            matrix = random_unitary(dim, rng)
+        op = compile_operator(matrix, tuple(range(num_qubits)), DTYPE)
+        assert op.tier == tier
+        stack = _random_stack(8, num_qubits, 40 + num_qubits)
+        stacked = apply_compiled_stack(stack.copy(), op, num_qubits)
+        for row in range(8):
+            single = apply_compiled_stack(stack[row : row + 1].copy(), op, num_qubits)
+            assert stacked[row].tobytes() == single[0].tobytes()
+
 
 class TestRowNormsSquared:
     """The shared serial/stacked renormalization reduction."""

@@ -224,7 +224,7 @@ class TestXP002:
 
     def test_float_of_host_array_in_loop_ok(self, tmp_path):
         # Crossing once via to_host then reading per-row floats is the
-        # sanctioned pattern (what _apply_noise_step does).
+        # sanctioned pattern.
         make_tree(
             tmp_path,
             {
