@@ -70,9 +70,16 @@ handling.
 Sampling stays the cheap polynomial part of the PTSBE story: one
 stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
 along the state axis, built on the array module in a single pass) serves
-every row, and each row draws its full shot budget with one row-wise
-``searchsorted`` over all shot uniforms at once — on a device module only
-the final shot indices cross back to host.
+every row, and each row draws its full shot budget at once through the
+shared kernel of :mod:`repro.linalg.sampling` — the same inverse-CDF
+search and bit-table gather the serial backend runs, so a row's shots
+are bitwise the serial trajectory's.  Past one shot per basis state the
+search walks a guide table built from the row's cumulative vector
+(expected ``O(2**n + m)`` for ``m`` shots), rebuilt per draw.  Below
+that, past ``2**20`` basis states, and on a device module, it is
+``searchsorted``; on a device module only the final shot indices cross
+back to host.  A row whose norm is NaN or infinite raises
+:class:`~repro.errors.BackendError` when the cumulative tensor is built.
 
 The stack lives on the array module resolved from ``Config.array_module``
 (:mod:`repro.linalg.backend`): NumPy on host, CuPy on GPU when available.
@@ -92,10 +99,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import validate_deferred_measurement
-from repro.backends.statevector import bits_from_indices
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.backend import get_array_backend
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
+from repro.linalg.sampling import bits_from_indices, check_norm, inverse_cdf
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
@@ -518,8 +525,7 @@ class BatchedStatevectorBackend:
         if cached is None:
             probs = self._xp.abs(self._stack[row]) ** 2
             total = probs.sum()
-            if float(total) <= 0:
-                raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
+            check_norm(total, f"stack row {row}")
             cached = self._ab.to_host(probs / total).astype(np.float64, copy=False)
             self._probs_cache[row] = cached
         return cached
@@ -553,9 +559,15 @@ class BatchedStatevectorBackend:
             xp = self._xp
             probs = xp.abs(self._stack) ** 2
             totals = probs.sum(axis=1, keepdims=True)
-            self._cum_totals = self._ab.to_host(totals).reshape(-1).astype(
+            host_totals = self._ab.to_host(totals).reshape(-1).astype(
                 np.float64, copy=False
             )
+            bad = np.flatnonzero(~np.isfinite(host_totals))
+            if bad.size:
+                raise BackendError(
+                    f"stack rows {bad.tolist()} have a non-finite norm"
+                )
+            self._cum_totals = host_totals
             safe = xp.where(totals > 0, totals, xp.asarray(1.0, dtype=totals.dtype))
             cum = xp.cumsum(
                 (probs / safe).astype(np.float64, copy=False), axis=1
@@ -571,19 +583,19 @@ class BatchedStatevectorBackend:
         """Bulk-sample basis-state indices from one stacked trajectory.
 
         Uniforms always come from the host ``rng`` (the
-        ``(seed, trajectory_id)`` determinism contract); the row-wise
-        ``searchsorted`` runs wherever the cumulative tensor lives, and
-        only the resulting shot indices cross back to host.
+        ``(seed, trajectory_id)`` determinism contract); the shared
+        :func:`~repro.linalg.sampling.inverse_cdf` search runs wherever the
+        cumulative tensor lives, and only the resulting shot indices cross
+        back to host.
         """
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
         if num_shots == 0:
             return np.empty(0, dtype=np.int64)
-        cum = self.cumulative_stack()
-        if self._cum_totals[row] <= 0:
-            raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
-        r = rng.random(num_shots)
-        indices = self._xp.searchsorted(cum[row], self._xp.asarray(r), side="right")
+        xp = self._xp
+        cum = self.cumulative_stack()[row]
+        check_norm(self._cum_totals[row], f"stack row {row}")
+        indices = inverse_cdf(cum, xp.asarray(rng.random(num_shots)), xp=xp)
         # Shot indices are the one bulk device->host transfer of the
         # sampling hot path: stage through pinned memory under CuPy
         # (identity under NumPy) for DMA-speed copies.
@@ -609,7 +621,7 @@ class BatchedStatevectorBackend:
         """Bulk multinomial sampling over the whole stack, one rng per row.
 
         Dead rows yield an empty ``(0, len(qubits))`` table.  Each live row
-        draws its full budget in one vectorized ``searchsorted`` — the
+        draws its full budget in one vectorized inverse-CDF search — the
         "sampling all m_alpha desired quantum bitstrings at once" step of
         the paper, here over the stacked probability tensor.
         """

@@ -14,13 +14,13 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.backends.statevector import bits_from_indices
 from repro.channels.kraus import KrausChannel
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError
+from repro.linalg.sampling import bits_from_indices, check_norm, inverse_cdf
 
 __all__ = ["DensityMatrixBackend"]
 
@@ -104,8 +104,7 @@ class DensityMatrixBackend:
         probs = np.real(np.diagonal(self._rho)).copy()
         probs[probs < 0] = 0.0
         total = probs.sum()
-        if total <= 0:
-            raise BackendError("density matrix has zero trace")
+        check_norm(total, "density matrix")
         return probs / total
 
     def marginal_probabilities(self, qubits: Sequence[int]) -> np.ndarray:
@@ -123,12 +122,11 @@ class DensityMatrixBackend:
     def sample(
         self, num_shots: int, qubits: Sequence[int], rng: np.random.Generator
     ) -> np.ndarray:
-        """Bulk shot sampling from the exact distribution."""
-        full = self.probabilities()
-        cum = np.cumsum(full)
+        """Bulk shot sampling from the exact distribution (shared kernel)."""
+        cum = np.cumsum(self.probabilities())
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(num_shots), side="right")
-        return bits_from_indices(idx.astype(np.int64), qubits, self.num_qubits)
+        idx = inverse_cdf(cum, rng.random(num_shots))
+        return bits_from_indices(idx, qubits, self.num_qubits)
 
     def expectation(self, operator: np.ndarray) -> complex:
         """tr(rho O) for a full-dimension operator."""

@@ -24,13 +24,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends.statevector import StatevectorBackend, bits_from_indices
+from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.devices.device import DeviceMesh
 from repro.errors import DeviceError
 from repro.linalg.backend import get_array_backend
+from repro.linalg.sampling import bits_from_indices, inverse_cdf
 
 __all__ = ["DistributedStatevector"]
 
@@ -197,8 +198,8 @@ class DistributedStatevector:
         block = np.array([float(xp.sum(xp.abs(s) ** 2)) for s in self.slices])
         self.bytes_communicated += 8 * len(block)
         total = block.sum()
-        if total <= 0:
-            raise DeviceError("state has zero norm")
+        if not (np.isfinite(total) and total > 0):
+            raise DeviceError(f"state has a zero or non-finite norm ({total})")
         block = block / total
         per_device = rng.multinomial(num_shots, block)
         indices = np.empty(num_shots, dtype=np.int64)
@@ -210,7 +211,7 @@ class DistributedStatevector:
             probs = probs / probs.sum()
             cum = np.cumsum(probs)
             cum[-1] = 1.0
-            local = np.searchsorted(cum, rng.random(count), side="right")
+            local = inverse_cdf(cum, rng.random(count))
             indices[pos : pos + count] = (d << self.local_qubits) | local
             self.bytes_communicated += int(count) * 8  # shipping shot indices
             pos += count

@@ -36,6 +36,7 @@ DEVICE_PATH_MODULES = (
     "linalg/apply.py",
     "linalg/reductions.py",
     "linalg/decompositions.py",
+    "linalg/sampling.py",
     "backends/batched_statevector.py",
     "backends/mps.py",
     "backends/mps_sampler.py",
