@@ -25,7 +25,7 @@ from repro.devices import (
     PAPER_STATEVECTOR_TIMINGS,
     PerfModel,
 )
-from repro.execution import BackendSpec, BatchedExecutor, ParallelExecutor
+from repro.execution import BackendSpec, BatchedExecutor, ShardedExecutor
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng, StreamFactory
 
@@ -58,13 +58,15 @@ def test_fig5_inset_distributed_prep(benchmark, workload, num_devices):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fig5_inset_inter_trajectory(benchmark, workload, workers):
-    """Embarrassingly parallel trajectories over worker processes."""
+    """Embarrassingly parallel trajectories: one device shard per worker process."""
     specs = ProbabilisticPTS(nsamples=60, nshots=2000).sample(
         workload, StreamFactory(0).rng_for(0)
     ).specs
 
     def run():
-        executor = ParallelExecutor(BackendSpec.statevector(), num_workers=workers)
+        executor = ShardedExecutor(
+            BackendSpec.batched_statevector(), devices=workers, num_workers=workers
+        )
         return executor.execute(workload, specs, seed=0).total_shots
 
     benchmark(run)

@@ -1,12 +1,11 @@
-"""Serial vs. parallel vs. vectorized execution: shots/sec across strategies.
+"""Serial vs. vectorized vs. sharded execution: shots/sec across strategies.
 
 Extends the paper's Fig. 4/5 shots-per-second story to the trajectory-
 stacked execution path: for a 12-qubit brickwork workload with B distinct
 error trajectories, the serial engine pays the per-operation Python
 dispatch cost B times per moment while the vectorized engine pays it once
 (one broadcast kernel over the (B, 2**12) stack), so its advantage grows
-with the trajectory count.  The parallel engine amortizes the same cost
-over worker processes instead, at the price of process startup.
+with the trajectory count.
 
 The fusion axis rides on top: with ``Config.fusion="auto"`` every strategy
 walks the circuit's compiled ``FusedPlan`` (adjacent gates and sampled
@@ -57,7 +56,6 @@ from repro.config import Config
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     ShardedExecutor,
     VectorizedExecutor,
 )
@@ -183,13 +181,14 @@ def _capturing_vectorized(config):
     return VectorizedExecutor(factory), created
 
 
-def _strategy_rows(workload, num_traj, include_parallel=False, include_sharded=False):
+def _strategy_rows(workload, num_traj, include_sharded=False):
     """(strategy, fusion, shots/s, seconds, first-chunk s, renorm s) rows.
 
     The renorm column reports the wall time the best run spent in
     post-noise-window renormalization (norm reduction + scale) — the cost
-    the batched ``row_norms_squared`` sweep attacks.  It is measurable
-    in-process only, so the process-pool strategies report ``None``.
+    the batched ``row_norms_squared`` sweep attacks.  It is read off the
+    capturing backend factories, so the sharded row (whose shards build
+    their own backends) reports ``None``.
     """
     specs = _distinct_specs(workload, num_traj)
     serial_auto, serial_auto_backends = _capturing_serial(FUSION_AUTO)
@@ -202,18 +201,6 @@ def _strategy_rows(workload, num_traj, include_parallel=False, include_sharded=F
         ("vectorized", "auto", vec_auto, vec_auto_backends),
         ("vectorized", "off", vec_off, vec_off_backends),
     ]
-    if include_parallel:
-        executors.insert(
-            2,
-            (
-                "parallel",
-                "auto",
-                ParallelExecutor(
-                    BackendSpec.statevector(config=FUSION_AUTO), num_workers=2
-                ),
-                None,
-            ),
-        )
     if include_sharded:
         executors.append(
             (
@@ -346,7 +333,7 @@ def test_strategy_report(benchmark, workload):
     and that fusion pays on the stacked path."""
 
     def series():
-        return {b: _strategy_rows(workload, b, include_parallel=(b >= 8)) for b in TRAJECTORY_COUNTS}
+        return {b: _strategy_rows(workload, b) for b in TRAJECTORY_COUNTS}
 
     table = benchmark.pedantic(series, rounds=1, iterations=1)
     lines = ["", f"strategies on {NUM_QUBITS}-qubit brickwork, {SHOTS_PER_TRAJECTORY} shots/trajectory"]
@@ -420,7 +407,6 @@ if __name__ == "__main__":
         rows = _strategy_rows(
             circuit,
             num_traj,
-            include_parallel=(num_traj >= 8),
             include_sharded=(num_traj >= 8),
         )
         for name, fusion, rate, seconds, first_chunk, renorm in rows:

@@ -3,8 +3,8 @@
 * Intra-trajectory: one statevector sliced across emulated devices, with
   bit-exact results and counted communication (the multi-GPU layout of
   the paper's 4xH100 per 35-qubit trajectory).
-* Inter-trajectory: embarrassingly parallel trajectories over worker
-  processes, shot-for-shot identical to the serial run.
+* Inter-trajectory: embarrassingly parallel trajectories, one device
+  shard per worker process, shot-for-shot identical to the serial run.
 * Both axes composed: the sharded strategy bins deduplicated trajectory
   groups across a device pool and runs chunked ``(B, 2**n)`` stacks per
   shard — still bitwise identical to the serial run.
@@ -32,7 +32,6 @@ from repro.devices import (
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     ShardedExecutor,
 )
 from repro.rng import StreamFactory
@@ -71,7 +70,7 @@ def inter_trajectory_demo() -> None:
     serial_result = serial.execute(noisy, specs, seed=4)
     serial_s = time.perf_counter() - t0
     for workers in (1, 2):
-        executor = ParallelExecutor(BackendSpec.statevector(), num_workers=workers)
+        executor = ShardedExecutor(devices=workers, num_workers=workers)
         t0 = time.perf_counter()
         result = executor.execute(noisy, specs, seed=4)
         dt = time.perf_counter() - t0

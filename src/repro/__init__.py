@@ -77,7 +77,6 @@ from repro.pts import (
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     PTSBEResult,
     ShardedExecutor,
     ShotChunk,
@@ -149,7 +148,6 @@ __all__ = [
     "TrajectorySpec",
     "BackendSpec",
     "BatchedExecutor",
-    "ParallelExecutor",
     "VectorizedExecutor",
     "ShardedExecutor",
     "PTSBEResult",

@@ -56,6 +56,11 @@ class PureStateBackend(abc.ABC):
 
     num_qubits: int
 
+    @property
+    def config(self):
+        """The :class:`~repro.config.Config` this backend was built with."""
+        return self._config
+
     # ------------------------------------------------------------------ #
     # state manipulation primitives
     # ------------------------------------------------------------------ #

@@ -55,24 +55,6 @@ def _default_routing() -> str:
     return os.environ.get("REPRO_ROUTING", "auto")
 
 
-def _default_tensornet_max_bond() -> Optional[int]:
-    """Tensornet bond-cap default: ``REPRO_TENSORNET_MAX_BOND``, else None.
-
-    ``None`` resolves to :attr:`Config.default_bond_dim` at use time (see
-    :meth:`Config.resolved_tensornet_max_bond`), so the env hook only has
-    to exist when a CI leg or sweep wants a different cap.
-    """
-    raw = os.environ.get("REPRO_TENSORNET_MAX_BOND")
-    return int(raw) if raw else None
-
-
-def _default_tensornet_cutoff() -> Optional[float]:
-    """Tensornet SVD-cutoff default: ``REPRO_TENSORNET_CUTOFF``, else None
-    (resolving to :attr:`Config.svd_cutoff` at use time)."""
-    raw = os.environ.get("REPRO_TENSORNET_CUTOFF")
-    return float(raw) if raw else None
-
-
 def _default_fault_plan():
     """Fault-injection default: parsed ``REPRO_FAULTS`` env, else ``None``.
 
@@ -160,10 +142,12 @@ class Config:
     max_density_qubits:
         Hard cap for density-matrix widths (4**n scaling).
     default_bond_dim:
-        Default MPS maximum bond dimension.
+        Default MPS maximum bond dimension — for the MPS backend and the
+        tensornet strategy alike (an executor ``max_bond`` or a
+        ``BackendSpec`` option overrides it).
     svd_cutoff:
         Singular values below this (relative to the largest) are truncated
-        by the MPS backend.
+        by the MPS backend and the tensornet strategy.
     max_tensornet_qubits:
         Width cap for the batched tensor-network strategy — the router
         only auto-routes past-dense-cap circuits up to this width, and
@@ -171,16 +155,6 @@ class Config:
         at dispatch.  Linear in memory per site, so the cap is generous;
         it exists to keep a typo'd width from compiling a million-site
         schedule.
-    tensornet_max_bond:
-        Maximum bond dimension for the trajectory-stacked tensornet
-        strategy.  ``None`` (default) resolves to
-        :attr:`default_bond_dim`; overridable via the
-        ``REPRO_TENSORNET_MAX_BOND`` environment variable (read at
-        :class:`Config` construction).
-    tensornet_cutoff:
-        Relative SVD truncation cutoff for the tensornet strategy.
-        ``None`` (default) resolves to :attr:`svd_cutoff`; overridable
-        via ``REPRO_TENSORNET_CUTOFF``.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic faults at the instrumented execution sites (chaos
@@ -190,11 +164,11 @@ class Config:
         :func:`repro.faults.plan.parse_fault_plan` for the syntax).
     retry:
         The :class:`~repro.faults.retry.RetryPolicy` applied per work
-        unit (parallel worker slice, sharded device, vectorized or
-        tensornet stack chunk).  Seed threading makes a retried unit
-        re-emit bitwise-identical shots, so the default policy (3
-        attempts, tiny exponential backoff with deterministic jitter) is
-        always safe to leave on.
+        unit (a sharded device, or one stack unit of the serial,
+        vectorized, clifford or tensornet loop).  Seed threading makes a
+        retried unit re-emit bitwise-identical shots, so the default
+        policy (3 attempts, tiny exponential backoff with deterministic
+        jitter) is always safe to leave on.
     """
 
     dtype: np.dtype = np.dtype(np.complex128)
@@ -209,8 +183,6 @@ class Config:
     default_bond_dim: int = 64
     svd_cutoff: float = 1e-12
     max_tensornet_qubits: int = 128
-    tensornet_max_bond: Optional[int] = field(default_factory=_default_tensornet_max_bond)
-    tensornet_cutoff: Optional[float] = field(default_factory=_default_tensornet_cutoff)
     fault_plan: Optional["FaultPlan"] = field(default_factory=_default_fault_plan)  # noqa: F821
     retry: "RetryPolicy" = field(default_factory=_default_retry)  # noqa: F821
 
@@ -235,18 +207,6 @@ class Config:
         if num_qubits >= FUSION_AUTO_WIDE_QUBITS:
             return FUSION_AUTO_CAP_WIDE
         return FUSION_AUTO_CAP_NARROW
-
-    def resolved_tensornet_max_bond(self) -> int:
-        """The bond cap in effect for the tensornet strategy."""
-        if self.tensornet_max_bond is not None:
-            return int(self.tensornet_max_bond)
-        return int(self.default_bond_dim)
-
-    def resolved_tensornet_cutoff(self) -> float:
-        """The SVD cutoff in effect for the tensornet strategy."""
-        if self.tensornet_cutoff is not None:
-            return float(self.tensornet_cutoff)
-        return float(self.svd_cutoff)
 
     def replace(self, **kwargs) -> "Config":
         """Return a copy with the given fields replaced."""

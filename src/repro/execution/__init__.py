@@ -1,30 +1,31 @@
 """Batched execution (BE): realizing PTS trajectory specs efficiently.
 
-The engine prepares each prescribed noisy state exactly once and draws its
-full shot batch in bulk (:mod:`repro.execution.batched`), schedules
-trajectories across emulated devices (:mod:`repro.execution.scheduler`),
-optionally fans them out over worker processes — the paper's
-"embarrassingly parallel" inter-trajectory axis
-(:mod:`repro.execution.parallel`) — stacks them into a single
-``(B, 2**n)`` tensor evolved in lockstep
-(:mod:`repro.execution.vectorized`), or composes both axes by sharding
-dedup groups across a device pool with stacked chunks per shard
-(:mod:`repro.execution.sharded`), or — for pure-Clifford circuits with
-Pauli-mixture noise — skips dense states entirely with batched
-Pauli-frame propagation (:mod:`repro.execution.clifford`), or — past the
-dense width cap — replays one compiled gate schedule over a
-trajectory-stacked truncated MPS (:mod:`repro.execution.tensornet`);
-the last two are what ``strategy="auto"`` selects automatically via the
-per-circuit engine router (:mod:`repro.execution.router`).  Results carry per-shot provenance
+Every in-process strategy is one loop (:mod:`repro.execution.stack`):
+deduplicate the specs, prepare each distinct noisy state exactly once,
+draw its full shot batch in bulk, with retry, capacity halving and
+ordered streaming shared.  What differs is the engine behind it: one
+per-trajectory backend (``serial``, :mod:`repro.execution.batched`), a
+``(B, 2**n)`` stack evolved in lockstep (``vectorized``,
+:mod:`repro.execution.vectorized`), batched Pauli-frame propagation for
+pure-Clifford circuits with Pauli-mixture noise (``clifford``,
+:mod:`repro.execution.clifford`), or — past the dense width cap — one
+compiled gate schedule replayed over a trajectory-stacked truncated MPS
+(``tensornet``, :mod:`repro.execution.tensornet`).  The ``sharded``
+strategy composes the paper's two parallel axes, binning dedup groups
+across an emulated device pool (:mod:`repro.execution.scheduler`) with
+stacked chunks per shard, optionally on worker processes
+(:mod:`repro.execution.sharded`).  ``strategy="auto"`` picks clifford
+or tensornet automatically via the per-circuit engine router
+(:mod:`repro.execution.router`).  Results carry per-shot provenance
 (:mod:`repro.execution.results`) and can be delivered incrementally —
-every strategy exposes ``execute_stream`` yielding per-trajectory
-:class:`~repro.execution.streaming.ShotChunk`\\ s as specs / stacks /
-shards complete (:mod:`repro.execution.streaming`,
-:func:`~repro.execution.batched.run_ptsbe_stream`).  Every strategy draws
-identical per-trajectory shots for a fixed seed; for specs in ascending
-trajectory-id order (what every PTS algorithm emits) the shot tables
-match row for row as well — and an unseeded run resolves one recorded
-root seed up front, so it replays exactly too.  See
+every strategy exposes ``execute_stream`` yielding
+:class:`~repro.execution.streaming.ShotChunk`\\ s as dedup groups /
+stacks / shards complete (:mod:`repro.execution.streaming`,
+:func:`~repro.execution.batched.run_ptsbe_stream`).  Every dense strategy
+draws identical per-trajectory shots for a fixed seed, and every strategy
+orders its results by spec position, so the dense shot tables match row
+for row — and an unseeded run resolves one recorded root seed up front,
+so it replays exactly too.  See
 ``docs/architecture.md`` for when to pick which.
 """
 
@@ -44,7 +45,6 @@ from repro.execution.plan import (
     get_fused_plan,
 )
 from repro.execution.scheduler import Scheduler, round_robin, greedy_by_cost
-from repro.execution.parallel import ParallelExecutor
 from repro.execution.vectorized import VectorizedExecutor
 from repro.execution.sharded import ShardedExecutor
 from repro.execution.clifford import CliffordFrameExecutor
@@ -74,7 +74,6 @@ __all__ = [
     "Scheduler",
     "round_robin",
     "greedy_by_cost",
-    "ParallelExecutor",
     "VectorizedExecutor",
     "ShardedExecutor",
     "CliffordFrameExecutor",

@@ -1,13 +1,17 @@
-"""The batched-execution (BE) engine.
+"""The batched-execution (BE) dispatch and the serial engine.
 
-For every :class:`~repro.pts.base.TrajectorySpec` the engine:
+For every dedup group of :class:`~repro.pts.base.TrajectorySpec`\\ s the
+serial engine:
 
 1. prepares the prescribed noisy state **once** (``backend.run_fixed`` with
-   the spec's fixed Kraus choices) — the O(2**n) part;
-2. draws the spec's entire shot budget in one bulk ``sample`` call — the
+   the group's fixed Kraus choices) — the O(2**n) part;
+2. draws each spec's entire shot budget in one bulk ``sample`` call — the
    polynomial part ("sampling all m_alpha desired quantum bitstrings at
    once", paper §3);
 3. attaches the provenance record to the shots.
+
+The loop around those steps — dedup, retry, ordered streaming, timing —
+is :mod:`repro.execution.stack`, shared with every in-process strategy.
 
 Contrast with :class:`~repro.trajectory.baseline.TrajectorySimulator`,
 which re-runs step 1 for every single shot, and with
@@ -23,11 +27,8 @@ shots-per-second curves directly.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Union
 
 from repro.backends.base import PureStateBackend
 from repro.backends.mps import MPSBackend
@@ -35,9 +36,10 @@ from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.config import DEFAULT_CONFIG
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution.results import PTSBEResult, TrajectoryResult
+from repro.execution.results import PTSBEResult
+from repro.execution.stack import Engine, StackExecutor
 from repro.execution.streaming import StreamedResult
-from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
+from repro.pts.base import PTSAlgorithm
 from repro.rng import StreamFactory
 
 __all__ = [
@@ -94,8 +96,38 @@ class BackendSpec:
         raise ExecutionError(f"unknown backend kind {self.kind!r}")
 
 
-class BatchedExecutor:
-    """Serial batched execution of trajectory specs on one backend."""
+class _SerialEngine(Engine):
+    """One per-trajectory backend: ``run_fixed`` once per dedup group."""
+
+    def __init__(self, backend: PureStateBackend, circuit: Circuit, measured, sample_kwargs):
+        self.backend = backend
+        self.config = getattr(backend, "config", None)
+        self.circuit = circuit
+        self.measured = measured
+        self.sample_kwargs = sample_kwargs
+
+    def prepare(self, choices_list):
+        try:
+            return [self.backend.run_fixed(self.circuit, choices_list[0])], [True]
+        except ZeroProbabilityTrajectory:
+            # The prescribed combination is impossible for the actual
+            # state (nominal probabilities are only priors for general
+            # channels): a dead row, not a fault to retry.
+            return [0.0], [False]
+
+    def sample(self, row, num_shots, rng):
+        return self.backend.sample(num_shots, self.measured, rng, **self.sample_kwargs)
+
+
+class BatchedExecutor(StackExecutor):
+    """Serial batched execution: one preparation per dedup group on one backend.
+
+    The finest-grained delivery of any strategy: each dedup group is
+    handed over the moment its bulk sample completes, so a consumer sees
+    the first shots after a single state preparation.
+    """
+
+    strategy = "serial"
 
     def __init__(
         self,
@@ -105,11 +137,11 @@ class BatchedExecutor:
         self.backend = backend
         self.sample_kwargs = dict(sample_kwargs or {})
 
-    def _make_backend(self, num_qubits: int) -> PureStateBackend:
+    def open(self, circuit: Circuit, measured) -> Engine:
         backend = (
-            self.backend.create(num_qubits)
+            self.backend.create(circuit.num_qubits)
             if isinstance(self.backend, BackendSpec)
-            else self.backend(num_qubits)
+            else self.backend(circuit.num_qubits)
         )
         if not hasattr(backend, "run_fixed"):
             raise ExecutionError(
@@ -117,98 +149,11 @@ class BatchedExecutor:
                 "VectorizedExecutor (or run_ptsbe(strategy='vectorized')) for "
                 "the 'batched_statevector' kind"
             )
-        return backend
-
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one preparation, one bulk sample each."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream one :class:`ShotChunk` per spec, in spec order.
-
-        The finest-grained delivery of any strategy: each trajectory is
-        handed over the moment its bulk sample completes, so a consumer
-        sees the first shots after a single state preparation.
-        :meth:`StreamedResult.finalize` reproduces :meth:`execute`
-        bitwise.  ``retain=False`` drops chunks after delivery
-        (``finalize`` unavailable) to bound memory for pure-ingest
-        consumers.
-        """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
-        backend = self._make_backend(circuit.num_qubits)
-
-        def deliver():
-            for spec in specs:
-                rng = streams.rng_for(spec.record.trajectory_id)
-                t0 = time.perf_counter()
-                try:
-                    weight = backend.run_fixed(circuit, spec.choices)
-                except ZeroProbabilityTrajectory:
-                    # The prescribed combination is impossible for the
-                    # actual state (nominal probabilities are only priors
-                    # for general channels): record it with zero weight
-                    # and zero shots.
-                    t1 = time.perf_counter()
-                    yield [
-                        TrajectoryResult(
-                            record=spec.record,
-                            bits=np.empty((0, len(measured)), dtype=np.uint8),
-                            actual_weight=0.0,
-                            prep_seconds=t1 - t0,
-                            sample_seconds=0.0,
-                        )
-                    ]
-                    continue
-                t1 = time.perf_counter()
-                bits = backend.sample(
-                    spec.num_shots, measured, rng, **self.sample_kwargs
-                )
-                t2 = time.perf_counter()
-                yield [
-                    TrajectoryResult(
-                        record=spec.record,
-                        bits=bits,
-                        actual_weight=weight,
-                        prep_seconds=t1 - t0,
-                        sample_seconds=t2 - t1,
-                    )
-                ]
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            engine="serial",
-            retain=retain,
-        )
+        return _SerialEngine(backend, circuit, measured, self.sample_kwargs)
 
 
 def _build_serial(backend, sample_kwargs, kwargs):
     return BatchedExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_parallel(backend, sample_kwargs, kwargs):
-    from repro.execution.parallel import ParallelExecutor
-
-    return ParallelExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
 
 
 def _build_vectorized(backend, sample_kwargs, kwargs):
@@ -240,7 +185,6 @@ def _build_tensornet(backend, sample_kwargs, kwargs):
 #: :mod:`repro.execution.router`).
 STRATEGY_BUILDERS = {
     "serial": _build_serial,
-    "parallel": _build_parallel,
     "vectorized": _build_vectorized,
     "sharded": _build_sharded,
     "clifford": _build_clifford,
@@ -250,7 +194,7 @@ STRATEGY_BUILDERS = {
 #: The strategies that materialize dense ``2**n`` statevectors and are
 #: therefore bounded by ``Config.max_dense_qubits``.  ``"clifford"`` and
 #: ``"tensornet"`` live outside the cap.
-DENSE_STRATEGIES = ("serial", "parallel", "vectorized", "sharded")
+DENSE_STRATEGIES = ("serial", "vectorized", "sharded")
 
 VALID_STRATEGIES = ("auto",) + tuple(STRATEGY_BUILDERS)
 
@@ -341,13 +285,13 @@ def run_ptsbe(
           ``"batched_statevector"``, else ``"serial"``.  The decision is
           recorded as ``result.routing`` and the engine that ran as
           ``result.engine``;
-        * ``"serial"`` — one :class:`BatchedExecutor` preparation per spec;
-        * ``"parallel"`` — fan specs over a process pool
-          (:class:`~repro.execution.parallel.ParallelExecutor`);
+        * ``"serial"`` — one :class:`BatchedExecutor` preparation per
+          dedup group;
         * ``"vectorized"`` — deduplicated ``(B, 2**n)`` trajectory stacks
           (:class:`~repro.execution.vectorized.VectorizedExecutor`);
         * ``"sharded"`` — dedup groups binned across a device pool, each
-          shard running chunked stacks sized to its device's memory
+          shard running chunked stacks sized to its device's memory,
+          on worker processes with ``num_workers > 1``
           (:class:`~repro.execution.sharded.ShardedExecutor`);
         * ``"clifford"`` — batched Pauli-frame propagation for
           pure-Clifford circuits with Pauli-mixture noise, at any width
@@ -368,10 +312,8 @@ def run_ptsbe(
         can serve the width.
 
         Every *dense* strategy draws identical per-trajectory shots for a fixed
-        ``seed``; shot tables also match row for row for specs in
-        ascending trajectory-id order (what every PTS algorithm emits —
-        ``"parallel"`` orders results by trajectory id, the others by
-        spec position).  All dense strategies execute through the same
+        ``seed``; shot tables also match row for row (every strategy
+        orders its results by spec position).  All dense strategies execute through the same
         compiled :class:`~repro.execution.plan.FusedPlan`, so the
         cross-strategy guarantee holds with gate/noise fusion on
         (``Config.fusion="auto"``, the default) or off.  ``"clifford"``
@@ -387,8 +329,8 @@ def run_ptsbe(
         replayed bitwise with ``run_ptsbe(..., seed=result.seed)``.
     executor_kwargs:
         Extra constructor arguments for the chosen executor, e.g.
-        ``{"num_workers": 4}`` for ``"parallel"``, ``{"max_batch": 32}``
-        for ``"vectorized"``, or ``{"devices": 4}`` for ``"sharded"``.
+        ``{"max_batch": 32}`` for ``"vectorized"``, or
+        ``{"devices": 4, "num_workers": 2}`` for ``"sharded"``.
 
     Examples
     --------

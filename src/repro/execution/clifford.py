@@ -1,6 +1,6 @@
 """Batched Pauli-frame execution: the Clifford fast path as a strategy.
 
-The fifth execution strategy (``run_ptsbe(strategy="clifford")``): for
+The Pauli-frame strategy (``run_ptsbe(strategy="clifford")``): for
 circuits that are pure Clifford with Pauli-mixture noise, trajectory
 realization does not need a dense state at all.  The
 :class:`~repro.backends.pauli_frame.FrameSampler` compiles the circuit
@@ -18,12 +18,12 @@ then each PTS :class:`~repro.pts.base.TrajectorySpec` costs:
 
 That is millions of shots per second at *any* width — the dense
 strategies stop at ``Config.max_dense_qubits`` (26), this one happily
-runs 40-qubit syndrome-extraction workloads.  Specs are deduplicated
-into :class:`~repro.pts.base.SpecGroup`\\ s so each distinct Kraus
-prescription pays its frame assembly once, and delivery goes through the
-same :class:`~repro.execution.streaming.OrderedDelivery` discipline as
-every other strategy, so ``run_ptsbe_stream``, ``retain=False``, and
-mid-stream ``close()`` behave identically.
+runs 40-qubit syndrome-extraction workloads.  The strategy is an engine
+of the shared loop in :mod:`repro.execution.stack`: specs are
+deduplicated so each distinct Kraus prescription pays its frame assembly
+once (one dedup group per work unit, ``clifford/stack:{a}:{b}``), with
+the same retry, ordered delivery, ``retain=False`` and mid-stream
+``close()`` behaviour as every other strategy.
 
 Faithfulness contract: per-trajectory *conditional distributions* and
 weights are exactly those of the dense strategies (Pauli conjugation is
@@ -38,22 +38,34 @@ still bitwise: shots derive from the same per-trajectory Philox streams
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.pts.base import TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
+from repro.execution.stack import Engine, StackExecutor
 
 __all__ = ["CliffordFrameExecutor"]
 
 
-class CliffordFrameExecutor:
+class _FrameEngine(Engine):
+    """A compiled frame sampler; one dedup group's frame per unit."""
+
+    def __init__(self, sampler: FrameSampler, config):
+        self.sampler = sampler
+        self.config = config
+        self.flips = None
+
+    def prepare(self, choices_list):
+        self.flips, weight = self.sampler.frame_for_choices(choices_list[0])
+        return [weight], [True]
+
+    def sample(self, row, num_shots, rng):
+        return self.sampler.sample_fixed(self.flips, num_shots, rng)
+
+
+class CliffordFrameExecutor(StackExecutor):
     """Execute trajectory specs by batched Pauli-frame propagation.
 
     Parameters
@@ -61,13 +73,16 @@ class CliffordFrameExecutor:
     backend:
         Accepted for dispatch-signature symmetry.  Frame sampling needs
         no dense backend, so only the default dense kinds (which carry no
-        state the frame path would miss) are tolerated; an ``"mps"`` spec
-        or a backend factory is a real request for a specific simulator
-        and is rejected rather than silently ignored.
+        state the frame path would miss) are tolerated — their ``config``
+        option still supplies the fault plan and retry policy; an
+        ``"mps"`` spec or a backend factory is a real request for a
+        specific simulator and is rejected rather than silently ignored.
     sample_kwargs:
         Accepted for signature symmetry; the frame sampler takes no
         sampling options, so a non-empty value is rejected up front.
     """
+
+    strategy = "clifford"
 
     def __init__(
         self,
@@ -92,38 +107,11 @@ class CliffordFrameExecutor:
                 "CliffordFrameExecutor's frame sampler takes no sample "
                 f"options, got sample_kwargs={dict(sample_kwargs)!r}"
             )
+        self.config = (
+            dict(backend.options).get("config") if isinstance(backend, BackendSpec) else None
+        )
 
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one frame assembly per dedup group, bulk XOR shots."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream each dedup group's trajectories as its frame completes.
-
-        Chunks are released in spec order through an
-        :class:`~repro.execution.streaming.OrderedDelivery` buffer (a
-        dedup group can interleave spec positions), matching the delivery
-        contract of every dense strategy.
-        """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
-        t0 = time.perf_counter()
+    def open(self, circuit: Circuit, measured) -> Engine:
         try:
             sampler = FrameSampler(circuit)
         except BackendError as exc:
@@ -131,51 +119,4 @@ class CliffordFrameExecutor:
                 f"strategy 'clifford' requires a pure-Clifford circuit with "
                 f"Pauli-mixture noise: {exc}"
             ) from exc
-        compile_seconds = time.perf_counter() - t0
-        groups = deduplicate_specs(specs)
-
-        def deliver():
-            delivery = OrderedDelivery(len(specs))
-            # The one-time tableau/conjugation compile is real preparation
-            # work; attribute it to the first group so shots-per-second
-            # accounting stays honest.
-            carry_prep = compile_seconds
-            for group in groups:
-                t1 = time.perf_counter()
-                flips, weight = sampler.frame_for_choices(
-                    specs[group.indices[0]].choices
-                )
-                prep_seconds = carry_prep + (time.perf_counter() - t1)
-                carry_prep = 0.0
-                completed = []
-                for j, spec_index in enumerate(group.indices):
-                    spec = specs[spec_index]
-                    rng = streams.rng_for(spec.record.trajectory_id)
-                    t2 = time.perf_counter()
-                    bits = sampler.sample_fixed(flips, spec.num_shots, rng)
-                    t3 = time.perf_counter()
-                    completed.append(
-                        (
-                            spec_index,
-                            TrajectoryResult(
-                                record=spec.record,
-                                bits=bits,
-                                actual_weight=weight,
-                                prep_seconds=prep_seconds if j == 0 else 0.0,
-                                sample_seconds=t3 - t2,
-                            ),
-                        )
-                    )
-                ready = delivery.add(completed)
-                if ready:
-                    yield ready
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            unique_preparations=len(groups),
-            engine="clifford",
-            retain=retain,
-        )
+        return _FrameEngine(sampler, self.config)

@@ -133,9 +133,10 @@ class PTSBEResult:
     measured_qubits: Tuple[int, ...]
     prep_seconds: float = 0.0
     sample_seconds: float = 0.0
-    #: Number of distinct state preparations actually performed.  Set by
-    #: the vectorized executor (which deduplicates identical specs); None
-    #: for executors that prepare one state per spec unconditionally.
+    #: Number of distinct state preparations actually performed: every
+    #: executor deduplicates identical specs, so this is the dedup group
+    #: count.  ``None`` only for results assembled outside the execution
+    #: layer.
     unique_preparations: Optional[int] = None
     #: The resolved root seed of the run.  Executors resolve ``seed=None``
     #: to one concrete entropy seed up front and record it here, so *any*
@@ -144,7 +145,7 @@ class PTSBEResult:
     #: execution layer.
     seed: Optional[int] = None
     #: Which execution engine realized the trajectories ("serial",
-    #: "parallel", "vectorized", "sharded", "clifford", or "tensornet").
+    #: "vectorized", "sharded", "clifford", or "tensornet").
     #: ``None`` only for results assembled outside the execution layer.
     engine: Optional[str] = None
     #: The router's decision trail for this run (set by

@@ -11,12 +11,12 @@ while ten smaller ones queue elsewhere.  Two policies:
   analytic per-item cost (prep cost + shots * per-shot cost), the classic
   4/3-approximation for makespan.
 
-Both policies are generic over the *items* they bin: the parallel
-executor schedules raw :class:`~repro.pts.base.TrajectorySpec`s, while
-the sharded executor schedules deduplicated
-:class:`~repro.pts.base.SpecGroup`s (so that a group is never split
-across devices and each unique state is still prepared exactly once).
-Any item type works as long as the cost function accepts it.
+Both policies are generic over the *items* they bin: raw
+:class:`~repro.pts.base.TrajectorySpec`s, or — what the sharded executor
+schedules — deduplicated :class:`~repro.pts.base.SpecGroup`s (so that a
+group is never split across devices and each unique state is still
+prepared exactly once).  Any item type works as long as the cost
+function accepts it.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def greedy_by_cost(specs: Sequence[Any], num_devices: int,
 
 
 class Scheduler:
-    """Policy holder used by the parallel and sharded executors."""
+    """Policy holder used by the sharded executor."""
 
     POLICIES = {"round_robin": round_robin, "greedy": greedy_by_cost}
 

@@ -1,4 +1,4 @@
-"""Device-sharded trajectory-stacked execution (the fourth BE strategy).
+"""Device-sharded trajectory-stacked execution.
 
 The paper's two parallel axes composed in one engine ("the calculation
 process trivially scales to arbitrarily many GPUs", §3):
@@ -30,8 +30,8 @@ device count, shard assignment, or per-device ``max_batch`` — verified in
 
 Devices are emulated by default (shards run sequentially in-process,
 standing in for GPUs); ``num_workers > 1`` fans shards over OS processes
-like :class:`~repro.execution.parallel.ParallelExecutor` does, with the
-same result ordering guarantees.
+— the library's multi-process path — with the same result ordering
+guarantees.
 """
 
 from __future__ import annotations

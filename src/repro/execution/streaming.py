@@ -10,14 +10,13 @@ still preparing states.  This module is the delivery layer for
 
 * every executor exposes ``execute_stream(circuit, specs, seed)``
   returning a :class:`StreamedResult` — a lazy handle over
-  :class:`ShotChunk`\\ s that are yielded *as each spec / stack / shard
-  completes* instead of after the full run;
-* chunk order is the **materialized trajectory order** of the same
-  executor (spec order; ascending trajectory id for ``"parallel"``), so
+  :class:`ShotChunk`\\ s that are yielded *as each dedup group / stack /
+  shard completes* instead of after the full run;
+* chunk order is the **materialized trajectory order** (spec order), so
   concatenating the streamed chunks reproduces
-  ``PTSBEResult.shot_table()`` bitwise — executors whose work completes
-  out of order (process-pool strategies, deduplicated stacks) pass their
-  results through an :class:`OrderedDelivery` reorder buffer;
+  ``PTSBEResult.shot_table()`` bitwise — work that completes out of
+  order (process-pool shards, dedup groups interleaving spec positions)
+  passes through an :class:`OrderedDelivery` reorder buffer;
 * :meth:`StreamedResult.finalize` drains whatever has not been consumed
   and assembles the exact :class:`~repro.execution.results.PTSBEResult`
   the materialized path would have returned — same shots, same records,
@@ -73,10 +72,10 @@ __all__ = [
 class ShotChunk:
     """One streamed delivery: the trajectories of a completed unit of work.
 
-    A chunk covers whatever the executor finished together — one spec
-    (serial), one ``(B, 2**n)`` stack (vectorized), one worker slice
-    (parallel), one device shard (sharded) — already in final trajectory
-    order relative to neighbouring chunks.
+    A chunk covers whatever the executor finished together — one dedup
+    group (serial, clifford), one ``(B, 2**n)`` stack (vectorized), one
+    MPS stack (tensornet), one device shard (sharded) — already in final
+    trajectory order relative to neighbouring chunks.
     """
 
     trajectories: Tuple[TrajectoryResult, ...]
@@ -133,8 +132,8 @@ class StreamedResult:
         resolve one entropy seed up front), sufficient to replay the run
         exactly via ``run_ptsbe(..., seed=stream.seed)``.
     unique_preparations:
-        Distinct state preparations the run will perform (``None`` for
-        executors that prepare one state per spec unconditionally).
+        Distinct state preparations the run will perform (its dedup
+        group count).
     retain:
         ``True`` (default) keeps every delivered trajectory so
         :meth:`finalize` stays free.  ``False`` drops chunks the moment
@@ -182,9 +181,8 @@ class StreamedResult:
         self._exhausted = False
         # Extra cleanup close() must run even when the generator body never
         # started (generator.close() on an unstarted generator skips its
-        # finally blocks): executors that allocate resources eagerly —
-        # e.g. the vectorized backend's stack — pass their (idempotent)
-        # release here.
+        # finally blocks): the stack loop opens its engine eagerly and
+        # passes the engine's (idempotent) release here.
         self._on_close = on_close
 
     # ------------------------------------------------------------------ #
@@ -384,8 +382,8 @@ def stream_pool(
 ) -> Iterator[List[TrajectoryResult]]:
     """Fan ``jobs`` over a process pool; yield ordered ready chunks.
 
-    The shared pool-streaming loop of the ``"parallel"`` and ``"sharded"``
-    strategies, now the pool half of the fault-tolerance layer:
+    The pool-streaming loop of the ``"sharded"`` strategy with
+    ``num_workers > 1``, and the pool half of the fault-tolerance layer:
 
     * a retryable failure (``ctx.policy``) resubmits the job with
       ``attempt + 1`` after the deterministic backoff — seed threading

@@ -1,6 +1,6 @@
 """Batched tensor-network execution: trajectory-stacked MPS as a strategy.
 
-The sixth execution strategy (``run_ptsbe(strategy="tensornet")``): for
+The tensor-network strategy (``run_ptsbe(strategy="tensornet")``): for
 circuits past the dense width cap, trajectory realization runs on a
 truncated MPS — but instead of replaying the circuit ``B`` times through
 :class:`~repro.backends.mps.MPSBackend`, the circuit is compiled **once**
@@ -33,6 +33,10 @@ Two structural tricks keep the replay lean:
   vectorized conditional sweep the serial MPS path uses
   (:func:`~repro.backends.mps_sampler.sample_cached`).
 
+The strategy is the MPS engine of the shared loop in
+:mod:`repro.execution.stack`: each work unit (``tensornet/stack:{a}:{b}``)
+replays one stack of up to ``max_batch`` dedup groups.
+
 Faithfulness contract: like the clifford strategy, conformance against
 the dense strategies is **distributional** (TVD / chi-square through the
 sweep oracle), not bitwise — SVD truncation perturbs amplitudes, and even
@@ -44,9 +48,7 @@ trajectory_id)`` as every other strategy.
 
 from __future__ import annotations
 
-import time
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,19 +63,10 @@ from repro.backends.mps_sampler import (
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
-from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
+from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.faults.retry import (
-    FaultContext,
-    RecoveryEvent,
-    describe_exception,
-    run_unit_with_retry,
-)
+from repro.execution.stack import Engine, StackExecutor
 from repro.linalg.kron import permute_operator_qubits
-from repro.pts.base import TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
 
@@ -354,7 +347,53 @@ def replay_schedule(
                 stack.apply_adjacent_rows(mats, step.site)
 
 
-class TensorNetExecutor:
+class _MPSStackEngine(Engine):
+    """One :class:`BatchedMPSStack` replay per unit, sampled per row."""
+
+    def __init__(self, executor: "TensorNetExecutor", schedule: GateSchedule, measured):
+        self.executor = executor
+        self.config = executor._config
+        self.rows = executor.max_batch
+        self.schedule = schedule
+        self.cols = list(measured)
+        self.stack: Optional[BatchedMPSStack] = None
+        self.envs: List[np.ndarray] = []
+
+    def prepare(self, choices_list):
+        """Replay the schedule over one stack; weights from one env pass.
+
+        A pure function of the schedule and the unit's Kraus choices, so
+        a retried unit re-emits bitwise-identical shots.  (Unlike the
+        dense engines the unit *composition* matters — the batched
+        truncated SVD keeps a common rank across the stack — so the
+        capacity ladder's halving only preserves the sampled
+        distribution, not the bits.)
+        """
+        ex = self.executor
+        self.stack = BatchedMPSStack(
+            self.schedule.num_qubits,
+            len(choices_list),
+            max_bond=ex.max_bond,
+            cutoff=ex.cutoff,
+            config=ex._config,
+        )
+        replay_schedule(self.stack, self.schedule, choices_list)
+        # One batched environment pass = sampling cache AND, via the
+        # telescoping-weight identity, per-row weights.
+        self.envs = compute_right_environments_batched(self.stack.tensors)
+        weights = self.envs[0][:, 0, 0].real
+        return weights, weights > _DEAD_NORM
+
+    def sample(self, row, num_shots, rng):
+        row_envs = [e[row] for e in self.envs]
+        full = sample_cached(self.stack.row_tensors(row), row_envs, num_shots, rng)
+        return full[:, self.cols]
+
+    def release(self) -> None:
+        self.stack, self.envs = None, []
+
+
+class TensorNetExecutor(StackExecutor):
     """Execute trajectory specs on a trajectory-stacked truncated MPS.
 
     Parameters
@@ -363,7 +402,7 @@ class TensorNetExecutor:
         ``BackendSpec("mps", ...)`` supplies ``max_bond`` / ``cutoff`` /
         ``config`` options; the default dense kinds are tolerated for
         router-dispatch symmetry (their width cap is exactly why this
-        strategy exists), in which case the config's tensornet knobs
+        strategy exists), in which case the config's truncation knobs
         apply.  A backend *factory* is a request for a specific simulator
         object this strategy replaces, and is rejected.
     sample_kwargs:
@@ -374,11 +413,11 @@ class TensorNetExecutor:
         Dedup groups stacked per :class:`BatchedMPSStack` replay.
     max_bond / cutoff:
         Explicit truncation overrides; default resolves through the
-        backend spec options, then ``Config.tensornet_max_bond`` /
-        ``Config.tensornet_cutoff`` (env hooks
-        ``REPRO_TENSORNET_MAX_BOND`` / ``REPRO_TENSORNET_CUTOFF``), then
-        ``Config.default_bond_dim`` / ``Config.svd_cutoff``.
+        backend spec options, then ``Config.default_bond_dim`` /
+        ``Config.svd_cutoff``.
     """
+
+    strategy = "tensornet"
 
     def __init__(
         self,
@@ -412,188 +451,24 @@ class TensorNetExecutor:
             raise ExecutionError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
         self._config: Config = config or options.get("config") or DEFAULT_CONFIG
-        resolved_bond = max_bond if max_bond is not None else options.get("max_bond")
-        resolved_cutoff = cutoff if cutoff is not None else options.get("cutoff")
+        # Resolution order: executor kwarg -> BackendSpec option -> Config.
+        first = lambda *values: next(v for v in values if v is not None)  # noqa: E731
         self.max_bond = int(
-            resolved_bond
-            if resolved_bond is not None
-            else self._config.resolved_tensornet_max_bond()
+            first(max_bond, options.get("max_bond"), self._config.default_bond_dim)
         )
-        self.cutoff = float(
-            resolved_cutoff
-            if resolved_cutoff is not None
-            else self._config.resolved_tensornet_cutoff()
-        )
+        self.cutoff = float(first(cutoff, options.get("cutoff"), self._config.svd_cutoff))
         if self.max_bond < 1:
             raise ExecutionError("max_bond must be >= 1")
 
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one schedule compile, batched replay per chunk."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream each stacked chunk's trajectories as its replay completes.
-
-        Chunks are released in spec order through an
-        :class:`~repro.execution.streaming.OrderedDelivery` buffer,
-        matching the delivery contract of every other strategy.
-        """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
+    def open(self, circuit: Circuit, measured) -> Engine:
         n = circuit.num_qubits
         if n > self._config.max_tensornet_qubits:
             raise ExecutionError(
                 f"circuit width {n} exceeds max_tensornet_qubits "
                 f"({self._config.max_tensornet_qubits})"
             )
-        streams = StreamFactory(seed)
-        t0 = time.perf_counter()
         try:
             schedule = compile_schedule(circuit, self._config)
         except BackendError as exc:
             raise ExecutionError(f"strategy 'tensornet' cannot run: {exc}") from exc
-        compile_seconds = time.perf_counter() - t0
-        groups = deduplicate_specs(specs)
-        cols = list(measured)
-        ctx = FaultContext.from_config(self._config, streams.seed, strategy="tensornet")
-        events: List[RecoveryEvent] = []
-
-        def run_chunk(start: int, end: int, carry_prep: float):
-            """Replay and sample one stacked chunk of groups ``[start, end)``.
-
-            One retryable unit: the replay is a pure function of the
-            schedule and the chunk's Kraus choices, and sampling
-            re-derives each row's Philox stream from
-            ``(seed, trajectory_id)``, so a retried chunk re-emits
-            bitwise-identical shots.  (Unlike the dense strategies the
-            chunk *composition* matters — the batched truncated SVD keeps
-            a common rank across the chunk — which is why plain retry
-            preserves bits but the capacity ladder's halving is only
-            guaranteed to preserve the sampled distribution.)
-            """
-            chunk = groups[start:end]
-            batch = len(chunk)
-            t1 = time.perf_counter()
-            stack = BatchedMPSStack(
-                n,
-                batch,
-                max_bond=self.max_bond,
-                cutoff=self.cutoff,
-                config=self._config,
-            )
-            choices_list = [specs[g.indices[0]].choices for g in chunk]
-            replay_schedule(stack, schedule, choices_list)
-            # One batched environment pass = sampling cache AND, via
-            # the telescoping-weight identity, per-row weights.
-            envs = compute_right_environments_batched(stack.tensors)
-            weights = envs[0][:, 0, 0].real
-            prep_seconds = carry_prep + (time.perf_counter() - t1)
-            prep_each = prep_seconds / batch
-            completed = []
-            for row, group in enumerate(chunk):
-                weight = float(max(weights[row], 0.0))
-                dead = weight <= _DEAD_NORM
-                row_tensors = stack.row_tensors(row)
-                row_envs = [e[row] for e in envs]
-                for j, spec_index in enumerate(group.indices):
-                    spec = specs[spec_index]
-                    rng = streams.rng_for(spec.record.trajectory_id)
-                    t2 = time.perf_counter()
-                    if dead or spec.num_shots == 0:
-                        bits = np.empty((0, len(measured)), dtype=np.uint8)
-                        actual_weight, sample_seconds = 0.0, 0.0
-                    else:
-                        full = sample_cached(
-                            row_tensors, row_envs, spec.num_shots, rng
-                        )
-                        bits = full[:, cols]
-                        actual_weight = weight
-                        sample_seconds = time.perf_counter() - t2
-                    completed.append(
-                        (
-                            spec_index,
-                            TrajectoryResult(
-                                record=spec.record,
-                                bits=bits,
-                                actual_weight=actual_weight,
-                                prep_seconds=prep_each if j == 0 else 0.0,
-                                sample_seconds=sample_seconds,
-                            ),
-                        )
-                    )
-            return completed
-
-        def deliver():
-            delivery = OrderedDelivery(len(specs))
-            pending = deque(
-                (start, min(start + self.max_batch, len(groups)))
-                for start in range(0, len(groups), self.max_batch)
-            )
-            # The one-time schedule compile is real preparation work;
-            # attribute it to the first chunk, same as the clifford path.
-            carry_prep = compile_seconds
-            while pending:
-                start, end = pending.popleft()
-                unit = f"tensornet/stack:{start}:{end}"
-                try:
-                    completed = run_unit_with_retry(
-                        lambda attempt: run_chunk(start, end, carry_prep),
-                        unit=unit,
-                        ctx=ctx,
-                        recovery=events,
-                    )
-                except CapacityError as exc:
-                    if end - start > 1:
-                        mid = (start + end) // 2
-                        events.append(
-                            RecoveryEvent(
-                                kind="batch-halved",
-                                strategy=ctx.strategy,
-                                unit=unit,
-                                attempt=0,
-                                error=describe_exception(exc),
-                                detail=(
-                                    f"split into stack:{start}:{mid} "
-                                    f"and stack:{mid}:{end}"
-                                ),
-                            )
-                        )
-                        pending.appendleft((mid, end))
-                        pending.appendleft((start, mid))
-                        continue
-                    raise FaultError(
-                        f"stacked replay of {unit!r} failed at the "
-                        f"single-row floor: {describe_exception(exc)}",
-                        unit=unit,
-                        attempts=1,
-                    ) from exc
-                carry_prep = 0.0
-                ready = delivery.add(completed)
-                if ready:
-                    yield ready
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            unique_preparations=len(groups),
-            engine="tensornet",
-            retain=retain,
-            recovery=events,
-        )
+        return _MPSStackEngine(self, schedule, measured)

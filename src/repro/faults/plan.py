@@ -2,15 +2,16 @@
 
 A :class:`FaultPlan` describes *which* named faults fire at *which*
 instrumented sites of the execution layer.  The executors consult it
-through :func:`maybe_inject` at the top of every work unit (a parallel
-worker slice, a sharded device, a vectorized/tensornet stack chunk); with
+through :func:`maybe_inject` at the top of every work unit (a sharded
+device, or one unit of the serial/vectorized/clifford/tensornet stack
+loop); with
 no plan configured the hook is a single ``is None`` check, so the
 production path pays nothing.
 
 Two ways to target faults:
 
 * **Rules** — explicit :class:`FaultSpec` entries matching unit names by
-  ``fnmatch`` glob (``worker-crash`` at ``parallel/slice:0``,
+  ``fnmatch`` glob (``worker-crash`` at ``sharded/shard:0``,
   ``transient-backend`` at ``vectorized/stack:*``).  A rule fires on
   attempts ``0 .. times-1`` of a matching unit, so ``times=1`` (default)
   injects once and lets the retry succeed, while a large ``times``
@@ -28,10 +29,11 @@ inject under the same plan as in-process sites.
 
 Unit-name scheme (see ``docs/architecture.md`` for the full map)::
 
-    parallel/slice:{k}           one scheduled worker slice
     sharded/shard:{device_id}    one device shard (suffix /rebin:{g} after rebinning)
-    vectorized/stack:{a}:{b}     one stacked-prep chunk over groups [a, b)
-    tensornet/stack:{a}:{b}      one batched-MPS chunk over groups [a, b)
+    {strategy}/stack:{a}:{b}     one unit of the stacked loop over dedup groups
+                                 [a, b), for strategy serial, vectorized,
+                                 clifford or tensornet (serial and clifford
+                                 units hold one group each)
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def parse_fault_plan(text: str) -> Optional[FaultPlan]:
     * ``KIND@GLOB`` — a targeted rule, e.g.
       ``transient-backend@vectorized/stack:*``;
     * ``KIND@GLOB#N`` — the same rule hitting the first ``N`` attempts,
-      e.g. ``worker-crash@parallel/slice:0#2``;
+      e.g. ``worker-crash@sharded/shard:0#2``;
     * ``random:RATE`` or ``random:RATE:KIND,KIND`` — random mode, e.g.
       ``random:0.2:transient-backend,slow-worker``.
 

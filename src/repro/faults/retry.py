@@ -16,9 +16,9 @@ deduplication or fencing needed.  What this module adds on top:
   ``StreamedResult.recovery`` and ``PTSBEResult.recovery``.
 * :class:`FaultContext` — the (plan, policy, seed) triple the executors
   thread through their delivery generators.
-* :func:`run_unit_with_retry` — the in-process retry driver shared by
-  the vectorized/tensornet chunk loops and the single-worker fast paths;
-  the process-pool equivalent lives in
+* :func:`run_unit_with_retry` — the in-process retry driver of the
+  stacked loop (:mod:`repro.execution.stack`) every in-process strategy
+  runs; the process-pool equivalent lives in
   :func:`repro.execution.streaming.stream_pool`.
 
 ``CapacityError`` is deliberately *not* retryable even though it
@@ -144,9 +144,9 @@ class RecoveryEvent:
         ``"batch-halved"`` (a stacked-prep chunk split after a
         ``CapacityError``).
     strategy:
-        Executor that recovered (``"parallel"``, ``"sharded"``, ...).
+        Executor that recovered (``"serial"``, ``"sharded"``, ...).
     unit:
-        The instrumented unit name (``parallel/slice:0``,
+        The instrumented unit name (``serial/stack:0:1``,
         ``sharded/shard:1``, ``vectorized/stack:0:64``, ...).
     attempt:
         The retry attempt this event initiated (1-based); ``0`` for

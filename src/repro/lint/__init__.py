@@ -13,8 +13,9 @@ every line of ``src/repro``:
 * **DET001** — no wall clocks / OS entropy / hash-ordered set iteration
   in seeded replay paths;
 * **STRAT001** — every engine registered in ``STRATEGY_BUILDERS``
-  honors the cross-module executor contract (``execute_stream`` with
-  threaded ``seed``/``retain``, engine recorded on results).
+  honors the cross-module executor contract (a ``StackExecutor``
+  subclass declaring its strategy name, or its own ``execute_stream``
+  with threaded ``seed``/``retain``).
 
 Run it with ``python -m repro.lint [--strict] [--json]``; grandfathered
 findings live in the committed ``baseline.json`` next to this file, each

@@ -1,23 +1,25 @@
 """Strategy-contract rule: every registered engine honors the executor API.
 
-The six strategies stay interchangeable because each executor behind
-``STRATEGY_BUILDERS`` implements the same surface: an ``execute_stream``
-generator that accepts the threaded root ``seed`` and the ``retain``
-knob, and stamps its engine name onto the streamed results so routing
-decisions are auditable (``result.engine`` / ``result.routing``).  That
-contract spans four modules and has no single enforcement point at
-runtime — a new strategy can pass its own tests while silently breaking
-``run_ptsbe_stream``'s dispatch assumptions.
+The strategies stay interchangeable because each executor behind
+``STRATEGY_BUILDERS`` streams through the same surface.  The in-process
+strategies get it by construction: they derive from
+:class:`~repro.execution.stack.StackExecutor`, whose one
+``execute_stream(seed, retain)`` loop stamps the subclass's declared
+``strategy`` name onto every result (``result.engine``).  A strategy
+outside that loop (the sharded device pool) must define
+``execute_stream`` itself.  The contract spans several modules and has
+no single enforcement point at runtime — a new strategy can pass its own
+tests while silently breaking ``run_ptsbe_stream``'s dispatch
+assumptions.
 
 **STRAT001** walks the contract statically:
 
 1. parse ``execution/batched.py`` for the ``STRATEGY_BUILDERS`` dict;
 2. resolve each builder function to the executor class it constructs
    (following the builder-local ``from repro.execution.<m> import <Cls>``);
-3. in the class's module, require ``execute_stream`` to exist, to accept
-   ``seed`` and ``retain`` parameters, and require the module to record
-   the registered engine name on its results
-   (``engine="<strategy>"`` keyword somewhere in the module);
+3. a class deriving from ``StackExecutor`` must declare
+   ``strategy = "<registered name>"`` in its body; any other class must
+   define ``execute_stream`` accepting ``seed`` and ``retain``;
 4. require the dispatch site to attach the routing trail
    (an ``<stream>.routing = ...`` assignment in ``execution/batched.py``).
 
@@ -38,6 +40,7 @@ __all__ = ["STRAT001ExecutorContract"]
 DISPATCH_MODULE = "execution/batched.py"
 TABLE_NAME = "STRATEGY_BUILDERS"
 REQUIRED_PARAMS = ("seed", "retain")
+BASE_CLASS = "StackExecutor"
 
 
 def _builders_table(tree: ast.Module) -> Optional[Tuple[ast.Dict, Dict[str, str]]]:
@@ -121,19 +124,28 @@ def _param_names(func: ast.FunctionDef) -> List[str]:
     return names
 
 
-def _module_records_engine(tree: ast.Module, engine: str) -> bool:
-    """Does any call in the module pass ``engine="<name>"``?"""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        for kw in node.keywords:
-            if (
-                kw.arg == "engine"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value == engine
-            ):
-                return True
+def _derives_from_base(cls: ast.ClassDef) -> bool:
+    """Does the class list ``StackExecutor`` among its bases?"""
+    for base in cls.bases:
+        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+        if name == BASE_CLASS:
+            return True
     return False
+
+
+def _declared_strategy(cls: ast.ClassDef) -> Optional[object]:
+    """The constant a ``strategy = ...`` class-body assignment binds."""
+    for node in cls.body:
+        targets: List[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "strategy" for t in targets):
+            return value.value if isinstance(value, ast.Constant) else None
+    return None
 
 
 def _dispatch_attaches_routing(tree: ast.Module) -> bool:
@@ -152,10 +164,11 @@ class STRAT001ExecutorContract(ProjectRule):
     id = "STRAT001"
     title = "registered strategy violates the executor contract"
     rationale = (
-        "Every engine behind STRATEGY_BUILDERS must expose "
-        "execute_stream(seed=..., retain=...) and record its engine name "
-        "on streamed results; the strategies are only interchangeable "
-        "(and routing decisions only auditable) while that holds."
+        "Every engine behind STRATEGY_BUILDERS must either run the shared "
+        "StackExecutor loop under its declared strategy name or expose "
+        "execute_stream(seed=..., retain=...) itself; the strategies are "
+        "only interchangeable (and routing decisions only auditable) "
+        "while that holds."
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
@@ -239,6 +252,24 @@ class STRAT001ExecutorContract(ProjectRule):
                 text=ctx.line_text(table_node.lineno),
             )
             return
+        if _derives_from_base(cls):
+            declared = _declared_strategy(cls)
+            if declared != strategy:
+                yield Finding(
+                    rule=self.id,
+                    path=module_rel,
+                    line=cls.lineno,
+                    column=cls.col_offset,
+                    message=(
+                        f"{BASE_CLASS} subclass '{class_name}' declares "
+                        f"strategy {declared!r}, not the registered "
+                        f"'{strategy}': its results would not record "
+                        f"engine='{strategy}'"
+                    ),
+                    scope=class_name,
+                    text=module_ctx.line_text(cls.lineno),
+                )
+            return
         method = _method(cls, "execute_stream")
         if method is None:
             yield Finding(
@@ -248,41 +279,28 @@ class STRAT001ExecutorContract(ProjectRule):
                 column=cls.col_offset,
                 message=(
                     f"executor '{class_name}' (strategy '{strategy}') "
-                    f"defines no execute_stream: every registered engine "
-                    f"must stream ordered ShotChunks"
+                    f"defines no execute_stream and does not derive from "
+                    f"{BASE_CLASS}: every registered engine must stream "
+                    f"ordered ShotChunks"
                 ),
                 scope=class_name,
                 text=module_ctx.line_text(cls.lineno),
             )
-        else:
-            params = _param_names(method)
-            for required in REQUIRED_PARAMS:
-                if required not in params:
-                    yield Finding(
-                        rule=self.id,
-                        path=module_rel,
-                        line=method.lineno,
-                        column=method.col_offset,
-                        message=(
-                            f"{class_name}.execute_stream (strategy "
-                            f"'{strategy}') does not accept '{required}': "
-                            f"the dispatch threads the resolved root seed "
-                            f"and the retention knob to every engine"
-                        ),
-                        scope=f"{class_name}.execute_stream",
-                        text=module_ctx.line_text(method.lineno),
-                    )
-        if not _module_records_engine(module_ctx.tree, strategy):
-            yield Finding(
-                rule=self.id,
-                path=module_rel,
-                line=cls.lineno,
-                column=cls.col_offset,
-                message=(
-                    f"module never records engine='{strategy}' on its "
-                    f"results: routing decisions must be auditable via "
-                    f"result.engine"
-                ),
-                scope=class_name,
-                text=module_ctx.line_text(cls.lineno),
-            )
+            return
+        params = _param_names(method)
+        for required in REQUIRED_PARAMS:
+            if required not in params:
+                yield Finding(
+                    rule=self.id,
+                    path=module_rel,
+                    line=method.lineno,
+                    column=method.col_offset,
+                    message=(
+                        f"{class_name}.execute_stream (strategy "
+                        f"'{strategy}') does not accept '{required}': "
+                        f"the dispatch threads the resolved root seed "
+                        f"and the retention knob to every engine"
+                    ),
+                    scope=f"{class_name}.execute_stream",
+                    text=module_ctx.line_text(method.lineno),
+                )

@@ -79,7 +79,7 @@ EXECUTOR_HOT_PATHS = (
     "execution/batched.py",
     "execution/vectorized.py",
     "execution/sharded.py",
-    "execution/parallel.py",
+    "execution/stack.py",
     "execution/clifford.py",
     "execution/tensornet.py",
     "backends/batched_statevector.py",

@@ -8,10 +8,10 @@ from repro.errors import DataError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     ShotTable,
     run_ptsbe,
 )
+from repro.execution.batched import STRATEGY_BUILDERS
 from repro.execution.results import pack_bits
 from repro.execution.scheduler import Scheduler, greedy_by_cost, round_robin
 from repro.pts import ProbabilisticPTS, TrajectorySpec
@@ -166,21 +166,27 @@ class TestScheduler:
             Scheduler("nope")
 
 
-class TestParallelExecutor:
-    def test_matches_serial_shot_for_shot(self, noisy_ghz3):
-        """The determinism contract: workers change nothing."""
-        specs = [_spec(i, 40) for i in range(6)]
-        serial = BatchedExecutor().execute(noisy_ghz3, specs, seed=5)
-        parallel = ParallelExecutor(num_workers=2).execute(noisy_ghz3, specs, seed=5)
-        a, b = serial.shot_table(), parallel.shot_table()
-        # Sort both by (trajectory, row) since order within is preserved.
-        assert np.array_equal(a.bits, b.bits)
-        assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
-
-    def test_rejects_unpicklable_backend(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(backend=lambda n: None)
-
-    def test_single_chunk_shortcut(self, noisy_ghz3):
-        result = ParallelExecutor(num_workers=4).execute(noisy_ghz3, [_spec(0, 10)], seed=1)
-        assert result.total_shots == 10
+@pytest.mark.parametrize(
+    "strategy", ["serial", "vectorized", "sharded", "clifford", "tensornet"]
+)
+def test_zero_shot_live_spec_keeps_its_weight(noisy_ghz3, strategy):
+    """Only a dead row reports weight 0; a live spec asking for no shots
+    keeps the weight its preparation realized."""
+    specs = ProbabilisticPTS(nsamples=100, nshots=100).sample(
+        noisy_ghz3, make_rng(3)
+    ).specs
+    k = next(i for i, s in enumerate(specs) if s.record.num_errors() > 0)
+    zeroed = list(specs)
+    zeroed[k] = specs[k].with_shots(0)
+    backend = (
+        BackendSpec.batched_statevector()
+        if strategy in ("vectorized", "sharded")
+        else BackendSpec.statevector()
+    )
+    build = STRATEGY_BUILDERS[strategy]
+    full = build(backend, None, {}).execute(noisy_ghz3, specs, seed=5)
+    result = build(backend, None, {}).execute(noisy_ghz3, zeroed, seed=5)
+    trajectory = result.trajectories[k]
+    assert trajectory.bits.shape == (0, 3)
+    assert trajectory.actual_weight > 0.0
+    assert trajectory.actual_weight == full.trajectories[k].actual_weight

@@ -83,14 +83,13 @@ def _pts(nsamples=24, nshots=240):
 def _run(circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETRY):
     """One run_ptsbe call with the plan threaded through Config."""
     cfg = Config(fault_plan=plan, retry=retry, fusion=fusion)
-    if strategy == "parallel":
+    if strategy in ("serial", "clifford"):
         return run_ptsbe(
             circuit,
             _pts(),
             seed=seed,
-            strategy="parallel",
+            strategy=strategy,
             backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
     if strategy == "sharded":
         return run_ptsbe(
@@ -134,26 +133,26 @@ def _kinds(result):
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_rule_matches_glob_and_times(self):
-        spec = FaultSpec("transient-backend", "parallel/slice:*", times=2)
-        assert spec.matches("parallel/slice:3", 0)
-        assert spec.matches("parallel/slice:3", 1)
-        assert not spec.matches("parallel/slice:3", 2)
+        spec = FaultSpec("transient-backend", "serial/stack:*", times=2)
+        assert spec.matches("serial/stack:3:4", 0)
+        assert spec.matches("serial/stack:3:4", 1)
+        assert not spec.matches("serial/stack:3:4", 2)
         assert not spec.matches("sharded/shard:0", 0)
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
-                FaultSpec("transient-backend", "parallel/slice:*"),
+                FaultSpec("worker-crash", "serial/stack:1:2"),
+                FaultSpec("transient-backend", "serial/stack:*"),
             )
         )
-        assert plan.fault_at("parallel/slice:1", 0, seed=1) == "worker-crash"
-        assert plan.fault_at("parallel/slice:0", 0, seed=1) == "transient-backend"
+        assert plan.fault_at("serial/stack:1:2", 0, seed=1) == "worker-crash"
+        assert plan.fault_at("serial/stack:0:1", 0, seed=1) == "transient-backend"
         assert plan.fault_at("vectorized/stack:0:4", 0, seed=1) is None
 
     def test_random_mode_is_seed_deterministic(self):
         plan = FaultPlan(rate=0.5, kinds=("transient-backend", "capacity"))
-        sites = [f"parallel/slice:{k}" for k in range(32)]
+        sites = [f"serial/stack:{k}:{k + 1}" for k in range(32)]
         first = [plan.fault_at(site, 0, seed=11) for site in sites]
         second = [plan.fault_at(site, 0, seed=11) for site in sites]
         assert first == second
@@ -164,8 +163,8 @@ class TestFaultPlan:
 
     def test_random_mode_only_hits_attempt_zero(self):
         plan = FaultPlan(rate=1.0)
-        assert plan.fault_at("parallel/slice:0", 0, seed=3) is not None
-        assert plan.fault_at("parallel/slice:0", 1, seed=3) is None
+        assert plan.fault_at("serial/stack:0:1", 0, seed=3) is not None
+        assert plan.fault_at("serial/stack:0:1", 1, seed=3) is None
 
     def test_maybe_inject_exception_classes(self):
         for kind, exc_type in [
@@ -200,10 +199,10 @@ class TestFaultPlan:
 
     def test_parse_round_trip(self):
         plan = parse_fault_plan(
-            "worker-crash@parallel/slice:1; transient-backend@sharded/*#2"
+            "worker-crash@serial/stack:1:2; transient-backend@sharded/*#2"
         )
         assert plan.rules == (
-            FaultSpec("worker-crash", "parallel/slice:1"),
+            FaultSpec("worker-crash", "serial/stack:1:2"),
             FaultSpec("transient-backend", "sharded/*", times=2),
         )
         assert plan.rate == 0.0
@@ -239,10 +238,10 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_env_var_threads_into_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "transient-backend@parallel/slice:0")
+        monkeypatch.setenv("REPRO_FAULTS", "transient-backend@serial/stack:0:1")
         cfg = Config()
         assert cfg.fault_plan == FaultPlan(
-            rules=(FaultSpec("transient-backend", "parallel/slice:0"),)
+            rules=(FaultSpec("transient-backend", "serial/stack:0:1"),)
         )
         monkeypatch.setenv("REPRO_FAULTS", "")
         assert Config().fault_plan is None
@@ -373,20 +372,17 @@ class TestBitwiseRecovery:
     """Faulty runs must reproduce fault-free shot tables exactly."""
 
     @pytest.mark.parametrize("fusion", ["auto", "off"])
-    def test_parallel_crash_and_transient(self, ghz, fusion):
-        plan = FaultPlan(
-            rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
-                FaultSpec("transient-backend", "parallel/slice:0"),
-            )
-        )
-        clean = _run(ghz, "parallel", fusion=fusion)
-        faulty = _run(ghz, "parallel", plan=plan, fusion=fusion)
-        assert sorted(_kinds(faulty)) == ["retry", "retry"]
-        assert {e.unit for e in faulty.recovery} == {
-            "parallel/slice:0",
-            "parallel/slice:1",
-        }
+    @pytest.mark.parametrize("strategy", ["serial", "clifford"])
+    def test_one_group_unit_transient_retry(self, ghz, strategy, fusion):
+        # Serial and clifford run one dedup group per unit: every unit
+        # faults once, is retried once, and re-emits identical shots.
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", f"{strategy}/stack:*"),))
+        clean = _run(ghz, strategy, fusion=fusion)
+        faulty = _run(ghz, strategy, plan=plan, fusion=fusion)
+        assert set(_kinds(faulty)) == {"retry"}
+        assert [e.unit for e in faulty.recovery] == [
+            f"{strategy}/stack:{k}:{k + 1}" for k in range(clean.unique_preparations)
+        ]
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     @pytest.mark.parametrize("fusion", ["auto", "off"])
@@ -456,17 +452,19 @@ class TestBitwiseRecovery:
         assert "retry" in _kinds(faulty)
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    @pytest.mark.parametrize("strategy", ["parallel", "sharded", "tensornet"])
+    @pytest.mark.parametrize("strategy", ["serial", "clifford", "sharded", "tensornet"])
     def test_acceptance_plan_recovers_bitwise(self, ghz, strategy):
-        """The issue's acceptance plan: >=1 crash, >=1 transient, >=1
-        stacked-prep capacity fault in one plan, completing on every
-        pooled/stacked strategy with fault-free-identical tables."""
+        """One plan with >=1 crash, >=1 transient and >=1 stacked-prep
+        capacity fault completes on every strategy it targets with
+        fault-free-identical tables."""
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
+                FaultSpec("worker-crash", "serial/stack:1:2"),
+                FaultSpec("worker-crash", "clifford/stack:0:1"),
                 FaultSpec("worker-crash", "sharded/shard:0"),
                 FaultSpec("worker-crash", "tensornet/stack:*"),
-                FaultSpec("transient-backend", "parallel/slice:0"),
+                FaultSpec("transient-backend", "serial/stack:0:1"),
+                FaultSpec("transient-backend", "clifford/stack:1:2"),
                 FaultSpec("transient-backend", "sharded/shard:1"),
                 FaultSpec("capacity", "vectorized/stack:0:3"),
             )
@@ -480,16 +478,13 @@ class TestBitwiseRecovery:
         # Random mode only ever hits attempt 0, so the default budget
         # always recovers; the same seed reproduces the same fault set.
         plan = FaultPlan(rate=0.8)
-        clean = _run(ghz, "parallel")
-        faulty = _run(ghz, "parallel", plan=plan)
-        again = _run(ghz, "parallel", plan=plan)
-        assert _kinds(faulty)  # 4 slices at rate 0.8: some fault fired
-        # Pool workers append events in completion order, which thread
-        # scheduling may permute — the deterministic contract is the
-        # fault *set* (and the bits), not the diagnostic ordering.
-        assert sorted((e.unit, e.kind, e.attempt) for e in faulty.recovery) == sorted(
+        clean = _run(ghz, "serial")
+        faulty = _run(ghz, "serial", plan=plan)
+        again = _run(ghz, "serial", plan=plan)
+        assert _kinds(faulty)  # one unit per group at rate 0.8: some fault fired
+        assert [(e.unit, e.kind, e.attempt) for e in faulty.recovery] == [
             (e.unit, e.kind, e.attempt) for e in again.recovery
-        )
+        ]
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_disabled_faults_record_nothing(self, ghz):
@@ -499,7 +494,7 @@ class TestBitwiseRecovery:
     def test_stream_and_result_share_recovery(self, ghz):
         cfg = Config(
             fault_plan=FaultPlan(
-                rules=(FaultSpec("transient-backend", "parallel/slice:*"),)
+                rules=(FaultSpec("transient-backend", "serial/stack:*"),)
             ),
             retry=FAST_RETRY,
         )
@@ -507,14 +502,14 @@ class TestBitwiseRecovery:
             ghz,
             _pts(),
             seed=SEED,
-            strategy="parallel",
+            strategy="serial",
             backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
         result = stream.finalize()
         assert result.recovery == stream.recovery
         assert all(isinstance(e, RecoveryEvent) for e in result.recovery)
-        assert len(result.recovery) == 2  # one retry per worker slice
+        # one retry per serial unit, i.e. per dedup group
+        assert len(result.recovery) == result.unique_preparations
 
 
 # --------------------------------------------------------------------- #
@@ -531,16 +526,23 @@ class TestDegradation:
 
     def test_retry_budget_exhaustion(self, ghz):
         plan = FaultPlan(
-            rules=(FaultSpec("transient-backend", "parallel/slice:0", times=99),)
+            rules=(FaultSpec("transient-backend", "serial/stack:0:1", times=99),)
         )
-        with pytest.raises(FaultError, match="parallel/slice:0") as info:
+        with pytest.raises(FaultError, match="serial/stack:0:1") as info:
             _run(
                 ghz,
-                "parallel",
+                "serial",
                 plan=plan,
                 retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             )
         assert info.value.attempts == 2
+
+    def test_serial_capacity_at_one_row_unit_raises(self, ghz):
+        # A serial unit holds one dedup group: there is nothing to halve.
+        plan = FaultPlan(rules=(FaultSpec("capacity", "serial/stack:0:1"),))
+        with pytest.raises(FaultError, match="single-row floor") as info:
+            _run(ghz, "serial", plan=plan)
+        assert info.value.unit == "serial/stack:0:1"
 
     def test_sharded_all_devices_dead(self, ghz):
         # The glob also matches rebinned units, so devices die one after
@@ -645,11 +647,11 @@ class TestPoolSubstrate:
 # --------------------------------------------------------------------- #
 class TestMidStreamClose:
     def test_close_during_in_flight_retries(self, ghz):
-        # Every slice faults on its first attempt; close after the first
-        # chunk lands while other slices are mid-retry.  Nothing may leak.
+        # Every shard faults on its first attempt; close after the first
+        # chunk lands while other shards are mid-retry.  Nothing may leak.
         cfg = Config(
             fault_plan=FaultPlan(
-                rules=(FaultSpec("transient-backend", "parallel/slice:*"),),
+                rules=(FaultSpec("transient-backend", "sharded/shard:*"),),
             ),
             retry=RetryPolicy(backoff_base=0.05, backoff_max=0.05, jitter=False),
         )
@@ -657,9 +659,9 @@ class TestMidStreamClose:
             ghz,
             _pts(),
             seed=SEED,
-            strategy="parallel",
-            backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
+            strategy="sharded",
+            backend=BackendSpec.batched_statevector(config=cfg),
+            executor_kwargs={"devices": 2, "num_workers": 2},
         )
         next(stream)
         stream.close()

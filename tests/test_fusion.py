@@ -351,18 +351,13 @@ class TestFusionEquivalence:
             )
 
     def test_four_strategies_bitwise_identical(self, fusion_config, noisy_ghz3):
-        """The full 4-strategy matrix (parallel included) on one workload:
-        every engine must emit the same bits under the new kernels."""
-        from repro.execution import ParallelExecutor
-
+        """The full dense-strategy matrix on one workload: every engine
+        must emit the same bits under the new kernels."""
         specs = _pts_specs(noisy_ghz3, 6, nsamples=150, nshots=200)
         reference = BatchedExecutor(
             BackendSpec.statevector(config=fusion_config)
         ).execute(noisy_ghz3, specs, seed=17)
         others = [
-            ParallelExecutor(
-                BackendSpec.statevector(config=fusion_config), num_workers=2
-            ),
             VectorizedExecutor(
                 BackendSpec.batched_statevector(config=fusion_config)
             ),

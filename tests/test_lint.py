@@ -616,6 +616,17 @@ class FooExecutor:
         return self.execute_stream(circuit, specs, seed=seed).finalize()
 """
 
+#: The in-process shape: the shared loop's base plus a declared name.
+COMPLIANT_STACK_EXECUTOR = """\
+from repro.execution.stack import StackExecutor
+
+class FooExecutor(StackExecutor):
+    strategy = "foo"
+
+    def open(self, circuit, measured):
+        return FooEngine()
+"""
+
 
 class TestSTRAT001:
     def fixture(self, tmp_path, dispatch=COMPLIANT_DISPATCH, executor=COMPLIANT_EXECUTOR):
@@ -630,6 +641,17 @@ class TestSTRAT001:
     def test_compliant_tree_clean(self, tmp_path):
         self.fixture(tmp_path)
         assert run_lint(tmp_path, ["STRAT001"]) == []
+
+    def test_stack_executor_shape_clean(self, tmp_path):
+        self.fixture(tmp_path, executor=COMPLIANT_STACK_EXECUTOR)
+        assert run_lint(tmp_path, ["STRAT001"]) == []
+
+    def test_stack_executor_without_strategy_name(self, tmp_path):
+        broken = COMPLIANT_STACK_EXECUTOR.replace('    strategy = "foo"\n', "")
+        self.fixture(tmp_path, executor=broken)
+        findings = run_lint(tmp_path, ["STRAT001"])
+        assert len(findings) == 1
+        assert "declares strategy None" in findings[0].message
 
     def test_missing_execute_stream(self, tmp_path):
         broken = COMPLIANT_EXECUTOR.replace("execute_stream", "execute_batch")
@@ -659,7 +681,7 @@ class TestSTRAT001:
         assert "'retain'" in findings[0].message
 
     def test_engine_not_recorded(self, tmp_path):
-        broken = COMPLIANT_EXECUTOR.replace('engine="foo"', 'engine="bar"')
+        broken = COMPLIANT_STACK_EXECUTOR.replace('strategy = "foo"', 'strategy = "bar"')
         self.fixture(tmp_path, executor=broken)
         findings = run_lint(tmp_path, ["STRAT001"])
         assert any("engine='foo'" in f.message for f in findings)
@@ -706,9 +728,8 @@ class TestSTRAT001:
         # The serial engine's builder constructs a class defined in the
         # dispatch module itself (no builder-local import).
         dispatch = (
-            "class BatchedExecutor:\n"
-            "    def execute_stream(self, circuit, specs, seed=None, retain=True):\n"
-            '        return StreamedResult(engine="serial")\n'
+            "class BatchedExecutor(StackExecutor):\n"
+            '    strategy = "serial"\n'
             "\n"
             "def _build_serial(backend, sample_kwargs, kwargs):\n"
             "    return BatchedExecutor(backend, **kwargs)\n"

@@ -129,7 +129,7 @@ class TestRoutingDecisions:
         assert "factory" in reason
 
     def test_explicit_strategy_never_rerouted(self, clifford_circuit):
-        for name in ("serial", "vectorized", "parallel", "sharded", "clifford"):
+        for name in ("serial", "vectorized", "sharded", "clifford"):
             resolved, reason = resolve_strategy(
                 clifford_circuit, BackendSpec.statevector(), name
             )
@@ -175,16 +175,14 @@ class TestEngineRecording:
 
     def test_every_explicit_strategy_records_engine(self, clifford_circuit):
         sampler = ProportionalPTS(total_shots=300)
-        for name in ("serial", "vectorized", "parallel", "sharded", "clifford"):
+        for name in ("serial", "vectorized", "sharded", "clifford"):
             backend = (
                 BackendSpec.batched_statevector()
                 if name in ("vectorized", "sharded")
                 else BackendSpec.statevector()
             )
-            kwargs = {"num_workers": 2} if name == "parallel" else None
             result = run_ptsbe(
-                clifford_circuit, sampler, backend, seed=5,
-                strategy=name, executor_kwargs=kwargs,
+                clifford_circuit, sampler, backend, seed=5, strategy=name,
             )
             assert result.engine == name
             assert result.routing == f"explicit strategy {name!r}"

@@ -394,8 +394,7 @@ class TestStrategyDispatch:
 
     def test_valid_strategies_constant(self):
         assert set(VALID_STRATEGIES) == {
-            "auto", "serial", "parallel", "vectorized", "sharded", "clifford",
-            "tensornet",
+            "auto", "serial", "vectorized", "sharded", "clifford", "tensornet",
         }
 
 

@@ -13,7 +13,6 @@ from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     ShardedExecutor,
     ShotChunk,
     ShotTable,
@@ -63,8 +62,6 @@ def _executor(strategy, fusion):
     config = Config(fusion=fusion)
     if strategy == "serial":
         return BatchedExecutor(BackendSpec.statevector(config=config))
-    if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector(config=config), num_workers=2)
     if strategy == "vectorized":
         return VectorizedExecutor(
             BackendSpec.batched_statevector(config=config), max_batch=4
@@ -76,11 +73,11 @@ def _executor(strategy, fusion):
     raise AssertionError(strategy)
 
 
-STRATEGIES = ["serial", "parallel", "vectorized", "sharded"]
+STRATEGIES = ["serial", "vectorized", "sharded"]
 
 
 class TestStreamedEquivalence:
-    """Acceptance matrix: all four strategies x fusion on/off."""
+    """Acceptance matrix: every dense strategy x fusion on/off."""
 
     @pytest.mark.parametrize("fusion", ["auto", "off"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -177,7 +174,7 @@ class TestSeedResolution:
         assert replay.seed == first.seed
 
     @pytest.mark.parametrize("strategy,kwargs", [
-        ("parallel", {"num_workers": 2}),
+        ("sharded", {"devices": 2, "num_workers": 2}),
         ("sharded", {"devices": 2}),
     ])
     def test_unseeded_multiprocess_replay(self, brickwork, strategy, kwargs):
@@ -316,15 +313,6 @@ class TestAbandonment:
         stream.finalize()
         assert captured["backend"].batch_size == 0
 
-    def test_parallel_close_leaves_no_processes(self, brickwork):
-        specs = _pts_specs(brickwork, 8)
-        stream = ParallelExecutor(num_workers=2).execute_stream(
-            brickwork, specs, seed=3
-        )
-        next(stream)
-        stream.close()
-        _assert_no_child_processes()
-
     def test_sharded_pool_close_leaves_no_processes(self, brickwork):
         specs = _pts_specs(brickwork, 8)
         stream = ShardedExecutor(devices=2, num_workers=2).execute_stream(
@@ -336,7 +324,7 @@ class TestAbandonment:
 
     def test_context_manager_closes(self, brickwork):
         specs = _pts_specs(brickwork, 4)
-        with ParallelExecutor(num_workers=2).execute_stream(
+        with ShardedExecutor(devices=2, num_workers=2).execute_stream(
             brickwork, specs, seed=4
         ) as stream:
             next(stream)

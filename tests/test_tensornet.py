@@ -383,7 +383,7 @@ class TestCapacityErrors:
         assert result.total_shots == 50
 
     def test_dense_strategies_constant(self):
-        assert DENSE_STRATEGIES == ("serial", "parallel", "vectorized", "sharded")
+        assert DENSE_STRATEGIES == ("serial", "vectorized", "sharded")
         assert "tensornet" not in DENSE_STRATEGIES
         assert "clifford" not in DENSE_STRATEGIES
 
@@ -475,7 +475,7 @@ class TestExecutorContracts:
         # Explicit arg > spec options > config default.
         assert TensorNetExecutor(BackendSpec.mps(max_bond=8), max_bond=5).max_bond == 5
         assert TensorNetExecutor(BackendSpec.mps(max_bond=8)).max_bond == 8
-        cfg = Config(tensornet_max_bond=12)
+        cfg = Config(default_bond_dim=12)
         assert TensorNetExecutor(config=cfg).max_bond == 12
         assert TensorNetExecutor().max_bond == Config().default_bond_dim
 

@@ -12,7 +12,6 @@ from repro.errors import BackendError, CapacityError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     VectorizedExecutor,
     run_ptsbe,
 )
@@ -175,7 +174,7 @@ class TestDedup:
 
     def test_serial_executor_reports_no_dedup(self, noisy_ghz3):
         result = BatchedExecutor().execute(noisy_ghz3, [_spec(0, 10)], seed=0)
-        assert result.unique_preparations is None
+        assert result.unique_preparations == 1
 
 
 class TestVectorizedEquivalence:
@@ -252,16 +251,7 @@ class TestStrategyKnob:
         np.testing.assert_array_equal(serial.shot_table().bits, explicit.shot_table().bits)
         assert auto.engine == "vectorized"
         assert auto.unique_preparations is not None
-        assert serial.unique_preparations is None
-
-    def test_parallel_strategy(self, noisy_ghz3):
-        sampler = ProbabilisticPTS(nsamples=100, nshots=100)
-        serial = run_ptsbe(noisy_ghz3, sampler, seed=9, strategy="serial")
-        parallel = run_ptsbe(
-            noisy_ghz3, sampler, seed=9, strategy="parallel",
-            executor_kwargs={"num_workers": 2},
-        )
-        np.testing.assert_array_equal(serial.shot_table().bits, parallel.shot_table().bits)
+        assert serial.unique_preparations == auto.unique_preparations
 
     def test_unknown_strategy_rejected(self, noisy_ghz3):
         with pytest.raises(ExecutionError):
@@ -281,10 +271,6 @@ class TestGuards:
             BatchedExecutor(BackendSpec.batched_statevector()).execute(
                 noisy_ghz3, [_spec(0, 10)], seed=0
             )
-
-    def test_parallel_executor_rejects_stacked_backend(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(backend=BackendSpec.batched_statevector())
 
     def test_vectorized_rejects_mps(self):
         with pytest.raises(ExecutionError):
